@@ -81,7 +81,7 @@ pub struct RunReport {
     /// Mailbox implementation the fabric resolved to (`lockfree` / `mutex`,
     /// from `RHPL_MAILBOX`).
     pub mailbox: String,
-    /// Transport the universe resolved to (`inproc` / `shm` / `tcp`, from
+    /// Transport the universe resolved to (`inproc` / `tcp`, from
     /// `RHPL_TRANSPORT`).
     pub transport: String,
     /// Per-directed-link transport counters of the most recent run (empty

@@ -2,8 +2,8 @@
 //!
 //! Where [`crate::runner`] runs ranks as threads of one process, launch mode
 //! spawns each rank as its own OS process connected by a byte-moving
-//! transport (`tcp` or `shm`; `inproc` runs the whole job in one child as
-//! the determinism oracle). The supervisor wires the mesh through a TCP
+//! transport (`tcp`; `inproc` runs the whole job in one child as the
+//! determinism oracle). The supervisor wires the mesh through a TCP
 //! control plane, watches heartbeats and process exits, and — with
 //! checkpointing armed — survives a `kill -9`'d rank by restarting the gang
 //! from the last complete checkpoint generation.
@@ -38,11 +38,11 @@
 //! child -> sup   err rank=R kind=...           (structured failure)
 //! ```
 //!
-//! The `down` broadcast is what bounds failure detection for transports
-//! without a kernel-level death signal: a killed TCP peer closes its
-//! sockets instantly, but a killed shm peer just stops appending — there
-//! the supervisor's heartbeat monitor (250 ms beat, 2.5 s staleness) plus
-//! the broadcast poisons survivors well inside the 5 s budget.
+//! A killed TCP peer closes its sockets instantly, but a hung one (stopped,
+//! livelocked, wedged in a syscall) keeps them open. The supervisor's
+//! heartbeat monitor (250 ms beat, 2.5 s staleness) plus the `down`
+//! broadcast bounds detection of those, poisoning survivors well inside
+//! the 5 s budget.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,7 +53,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hpl_ckpt::CkptStore;
-use hpl_comm::transport::shm::ShmTransport;
 use hpl_comm::transport::tcp::TcpBootstrap;
 use hpl_comm::{Communicator, Fabric, FabricOpts, Grid, TransportSel, Universe};
 use hpl_faults::{FaultPlan, Injector, RankDeath};
@@ -100,7 +99,7 @@ fn parse_launch(args: &[String]) -> Result<LaunchSpec, String> {
     let sel = match arg_value::<String>(args, "--transport") {
         Some(t) => t
             .parse::<TransportSel>()
-            .map_err(|()| format!("--transport must be inproc, shm or tcp (got {t})"))?,
+            .map_err(|()| format!("--transport must be inproc or tcp (got {t})"))?,
         None => TransportSel::Tcp,
     };
     // Everything except the launch-only flags is the child's business.
@@ -263,16 +262,8 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
     };
     let nprocs = match spec.sel {
         TransportSel::Inproc => 1,
-        _ => spec.ranks,
+        TransportSel::Tcp => spec.ranks,
     };
-    let shm_dir = matches!(spec.sel, TransportSel::Shm).then(|| {
-        std::env::temp_dir().join(format!("rhpl-launch-shm-{}-a{attempt}", std::process::id()))
-    });
-    if let Some(dir) = &shm_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return Attempt::Fatal(format!("create shm dir: {e}"));
-        }
-    }
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => return Attempt::Fatal(format!("current_exe: {e}")),
@@ -288,9 +279,6 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
             .env("RHPL_TRANSPORT", spec.sel.name())
             .stdin(Stdio::null())
             .stdout(Stdio::null());
-        if let Some(dir) = &shm_dir {
-            cmd.env("RHPL_LAUNCH_SHM_DIR", dir);
-        }
         if spec.ckpt_every > 0 {
             cmd.env("RHPL_LAUNCH_CKPT_DIR", &spec.ckpt_dir);
         }
@@ -390,9 +378,6 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
 
     for h in reader_handles {
         let _ = h.join();
-    }
-    if let Some(dir) = &shm_dir {
-        let _ = std::fs::remove_dir_all(dir);
     }
     outcome
 }
@@ -587,7 +572,6 @@ struct RankEnv {
     ranks: usize,
     ctrl: SocketAddr,
     sel: TransportSel,
-    shm_dir: Option<PathBuf>,
     ckpt_dir: Option<PathBuf>,
     disarm: bool,
 }
@@ -609,7 +593,6 @@ fn read_rank_env() -> Result<RankEnv, String> {
         ranks,
         ctrl,
         sel,
-        shm_dir: std::env::var("RHPL_LAUNCH_SHM_DIR").ok().map(PathBuf::from),
         ckpt_dir: std::env::var("RHPL_LAUNCH_CKPT_DIR")
             .ok()
             .map(PathBuf::from),
@@ -770,7 +753,7 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
     // Data-plane listener first, so the hello can carry its address.
     let boot = match env.sel {
         TransportSel::Tcp => Some(TcpBootstrap::bind().map_err(|e| format!("bind data: {e}"))?),
-        _ => None,
+        TransportSel::Inproc => None,
     };
     let my_addr = boot
         .as_ref()
@@ -801,10 +784,9 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
     };
 
     hpl_faults::set_world_rank(env.rank);
-    let code = if matches!(env.sel, TransportSel::Inproc) {
-        rank_body_inproc(env, &spec, &ctrl)
-    } else {
-        rank_body_transport(env, &spec, &ctrl, boot, &addrs, reader)
+    let code = match boot {
+        None => rank_body_inproc(env, &spec, &ctrl),
+        Some(boot) => rank_body_tcp(env, &spec, &ctrl, boot, &addrs, reader),
     };
     stopping.store(true, Ordering::Relaxed);
     let _ = hb.join();
@@ -812,7 +794,7 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
 }
 
 /// `--transport inproc`: the whole job runs in this one child as threads —
-/// the oracle the multi-process transports are measured against, behind the
+/// the oracle the multi-process tcp transport is measured against, behind the
 /// same supervisor protocol (so `kill -9` + restart works here too).
 fn rank_body_inproc(env: &RankEnv, spec: &ChildSpec, ctrl: &CtrlLine) -> Result<ExitCode, String> {
     if spec.mxp {
@@ -939,13 +921,13 @@ fn rank_body_inproc_mxp(
     Ok(ExitCode::SUCCESS)
 }
 
-/// `--transport tcp|shm`: this process is exactly one rank, wired to its
-/// peers by real frames.
-fn rank_body_transport(
+/// `--transport tcp`: this process is exactly one rank, wired to its peers
+/// by real frames.
+fn rank_body_tcp(
     env: &RankEnv,
     spec: &ChildSpec,
     ctrl: &CtrlLine,
-    boot: Option<TcpBootstrap>,
+    boot: TcpBootstrap,
     addrs: &[String],
     ctrl_reader: BufReader<TcpStream>,
 ) -> Result<ExitCode, String> {
@@ -954,32 +936,19 @@ fn rank_body_transport(
         ..FabricOpts::default()
     };
     let fabric = Fabric::remote(env.ranks, env.rank, opts);
-    let transport: Arc<dyn hpl_comm::transport::Transport> = match env.sel {
-        TransportSel::Tcp => {
-            let peers: Vec<SocketAddr> = addrs
-                .iter()
-                .map(|a| a.parse().map_err(|e| format!("bad peer addr {a}: {e}")))
-                .collect::<Result<_, String>>()?;
-            boot.expect("tcp bootstrap")
-                .connect(env.rank, &peers, fabric.frame_sink())
-                .map_err(|e| format!("wire tcp mesh: {e}"))?
-        }
-        TransportSel::Shm => {
-            let dir = env
-                .shm_dir
-                .as_deref()
-                .ok_or("shm transport without RHPL_LAUNCH_SHM_DIR")?;
-            ShmTransport::start(dir, env.rank, env.ranks, fabric.frame_sink())
-                .map_err(|e| format!("start shm transport: {e}"))?
-        }
-        TransportSel::Inproc => unreachable!("inproc handled separately"),
-    };
+    let peers: Vec<SocketAddr> = addrs
+        .iter()
+        .map(|a| a.parse().map_err(|e| format!("bad peer addr {a}: {e}")))
+        .collect::<Result<_, String>>()?;
+    let transport = boot
+        .connect(env.rank, &peers, fabric.frame_sink())
+        .map_err(|e| format!("wire tcp mesh: {e}"))?;
     fabric.attach_transport(transport);
 
-    // The supervisor's `down rank=K` is the death signal for transports
-    // whose links don't die with the process (shm); for tcp it is a backup
-    // to the instant EOF. Poison-observed, not poison: the rank announced
-    // here is already dead, nobody needs Death frames echoed back.
+    // The supervisor's `down rank=K` is the death signal for a peer that
+    // hangs with its sockets still open; for a peer that exits it is a
+    // backup to the instant EOF. Poison-observed, not poison: the rank
+    // announced here is already dead, nobody needs Death frames echoed back.
     {
         let fabric = Arc::clone(&fabric);
         std::thread::spawn(move || {

@@ -15,7 +15,7 @@
 //! * [`recover`] — the checkpoint/restart supervisor (`--ckpt-every`),
 //!   which survives injected rank deaths mid-run.
 //! * [`launch`] — `rhpl launch`: one OS process per rank over a real
-//!   transport (tcp/shm), with heartbeat failure detection and gang restart
+//!   transport (tcp), with heartbeat failure detection and gang restart
 //!   from checkpoints when a rank is killed.
 
 // Lint policy: indexed loops are used deliberately where they mirror the

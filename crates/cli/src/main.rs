@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rhpl [HPL.dat]              run the sweep described by the input file
-//! rhpl launch HPL.dat --ranks N --transport tcp|shm|inproc
+//! rhpl launch HPL.dat --ranks N --transport tcp|inproc
 //!                             one OS process per rank, supervised: rendezvous,
 //!                             heartbeats, rank-death detection; with
 //!                             --ckpt-every K also respawn + resume from the
@@ -72,7 +72,7 @@ fn main() -> ExitCode {
              [--trace-json PATH] [--fault SPEC]... \
              [--fault-seed S] [--ckpt-every K] [--ckpt-dir PATH] \
              [--comm-timeout SECS] [--sample]\n\
-             \x20      rhpl launch [HPL.dat] --ranks N [--transport inproc|shm|tcp] \
+             \x20      rhpl launch [HPL.dat] --ranks N [--transport inproc|tcp] \
              [--ckpt-every K] [--ckpt-dir PATH] [--fault SPEC]...\n\
              launch runs the first sweep combination with one OS process per \
              rank under a supervisor (rendezvous, heartbeats, respawn+resume \

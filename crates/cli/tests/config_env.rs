@@ -47,14 +47,17 @@ fn bad_mailbox_cap_is_a_typed_config_error() {
 
 #[test]
 fn bad_transport_is_a_typed_config_error() {
-    let (code, stderr) = run_with_env("RHPL_TRANSPORT", "carrier-pigeon");
-    assert_eq!(code, 2, "config errors exit 2, stderr: {stderr}");
-    assert!(stderr.contains("RHPL_TRANSPORT"), "stderr: {stderr}");
-    assert!(stderr.contains("carrier-pigeon"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("inproc") || stderr.contains("tcp"),
-        "the error should name the accepted values, stderr: {stderr}"
-    );
+    // `shm` names a transport that no longer exists: rejected like any typo.
+    for bad in ["carrier-pigeon", "shm"] {
+        let (code, stderr) = run_with_env("RHPL_TRANSPORT", bad);
+        assert_eq!(code, 2, "config errors exit 2, stderr: {stderr}");
+        assert!(stderr.contains("RHPL_TRANSPORT"), "stderr: {stderr}");
+        assert!(stderr.contains(bad), "stderr: {stderr}");
+        assert!(
+            stderr.contains("inproc") || stderr.contains("tcp"),
+            "the error should name the accepted values, stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -108,7 +111,6 @@ fn valid_env_values_are_accepted() {
         ("RHPL_MAILBOX", "mutex"),
         ("RHPL_MAILBOX_CAP", "256"),
         ("RHPL_TRANSPORT", "inproc"),
-        ("RHPL_TRANSPORT", "shm"),
         ("RHPL_TRANSPORT", "tcp"),
         ("RHPL_KERNEL", "auto"),
         ("RHPL_KERNEL", "scalar"),
@@ -126,13 +128,15 @@ fn valid_env_values_are_accepted() {
 /// not panics — and a bad fabric env still beats them to exit 2.
 #[test]
 fn launch_rejects_bad_arguments_cleanly() {
-    let out = rhpl()
-        .args(["launch", "--ranks", "4", "--transport", "telepathy"])
-        .output()
-        .expect("spawn rhpl");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("telepathy"), "stderr: {stderr}");
+    for bad in ["telepathy", "shm"] {
+        let out = rhpl()
+            .args(["launch", "--ranks", "2", "--transport", bad])
+            .output()
+            .expect("spawn rhpl");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(bad), "stderr: {stderr}");
+    }
 
     let out = rhpl()
         .args(["launch", "--ranks", "zero"])

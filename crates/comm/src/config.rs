@@ -61,12 +61,12 @@ pub fn parse_mailbox_cap(value: &str) -> Result<usize, ConfigError> {
         })
 }
 
-/// Parses a `RHPL_TRANSPORT` value (`inproc` | `shm` | `tcp`).
+/// Parses a `RHPL_TRANSPORT` value (`inproc` | `tcp`).
 pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
     value.parse().map_err(|()| ConfigError {
         var: "RHPL_TRANSPORT",
         value: value.to_owned(),
-        expected: "one of inproc, shm, tcp",
+        expected: "one of inproc, tcp",
     })
 }
 
@@ -202,12 +202,13 @@ mod tests {
 
     #[test]
     fn transport_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_transport("tcp"), Ok(TransportSel::Tcp));
-        assert_eq!(parse_transport("SHM"), Ok(TransportSel::Shm));
+        assert_eq!(parse_transport("TCP"), Ok(TransportSel::Tcp));
         assert_eq!(parse_transport("inproc"), Ok(TransportSel::Inproc));
-        let err = parse_transport("mpi").unwrap_err();
-        assert_eq!(err.var, "RHPL_TRANSPORT");
-        assert_eq!(err.value, "mpi");
-        assert!(err.to_string().contains("inproc, shm, tcp"));
+        for bad in ["mpi", "shm"] {
+            let err = parse_transport(bad).unwrap_err();
+            assert_eq!(err.var, "RHPL_TRANSPORT");
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("inproc, tcp"));
+        }
     }
 }

@@ -30,8 +30,9 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::CommError;
 use crate::spsc::LockfreeMailbox;
 use crate::transport::frame::{Frame, FrameKind};
+use crate::transport::tcp::TcpTransport;
 use crate::transport::wire::{Packet, VEC_F32_WIRE_ID, VEC_F64_WIRE_ID};
-use crate::transport::{FrameSink, LinkStat, Transport};
+use crate::transport::{FrameSink, LinkStat};
 
 /// Message tag. User tags live below [`Tag::RESERVED_BASE`]; the collective
 /// implementations use reserved tags above it so user point-to-point traffic
@@ -245,8 +246,7 @@ const MIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
 
 /// How long a `recv` waits before declaring the run deadlocked. Resolution
 /// order: [`set_comm_timeout`] override, then `RHPL_COMM_TIMEOUT` (seconds),
-/// then the legacy `HPL_COMM_TIMEOUT_SECS`, then the 120 s default. The
-/// environment is read once per process.
+/// then the 120 s default. The environment is read once per process.
 pub fn recv_timeout() -> std::time::Duration {
     use std::sync::OnceLock;
     if let Some(t) = TIMEOUT_OVERRIDE.get() {
@@ -256,7 +256,6 @@ pub fn recv_timeout() -> std::time::Duration {
     *T.get_or_init(|| {
         let secs = std::env::var("RHPL_COMM_TIMEOUT")
             .ok()
-            .or_else(|| std::env::var("HPL_COMM_TIMEOUT_SECS").ok())
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(120);
         std::time::Duration::from_secs(secs).max(MIN_TIMEOUT)
@@ -468,11 +467,11 @@ pub struct Fabric {
 
 /// What turns a world-sized fabric into *one rank's endpoint*: only
 /// `boxes[my_rank]` ever receives; sends to other ranks are encoded into
-/// frames and pushed through the attached [`Transport`].
+/// frames and pushed through the attached [`TcpTransport`].
 pub(crate) struct RemoteCtx {
     my_rank: usize,
     /// Wired after construction (the sink needs the fabric `Arc` first).
-    transport: std::sync::OnceLock<Arc<dyn Transport>>,
+    transport: std::sync::OnceLock<Arc<TcpTransport>>,
     /// Guards the one-shot Death broadcast in [`Fabric::poison`].
     death_sent: AtomicBool,
     /// Per-process split counter: every rank performs the same ordered
@@ -616,7 +615,7 @@ impl Fabric {
     /// Wires the byte-moving backend into a [`Fabric::remote`] endpoint.
     /// Must happen before any cross-rank traffic; the two-step dance exists
     /// because the transport's reader threads need the fabric's sink first.
-    pub fn attach_transport(&self, transport: Arc<dyn Transport>) {
+    pub fn attach_transport(&self, transport: Arc<TcpTransport>) {
         let remote = self
             .remote
             .as_ref()
@@ -638,14 +637,6 @@ impl Fabric {
     /// This endpoint's world rank when transport-backed, else `None`.
     pub fn remote_rank(&self) -> Option<usize> {
         self.remote.as_ref().map(|r| r.my_rank)
-    }
-
-    /// Name of the byte-moving backend ("inproc" when none is attached).
-    pub fn transport_name(&self) -> &'static str {
-        self.remote
-            .as_ref()
-            .and_then(|r| r.transport.get())
-            .map_or("inproc", |t| t.name())
     }
 
     /// Per-destination link traffic of this endpoint (empty in-process).
@@ -1022,7 +1013,7 @@ impl Fabric {
     /// the mailbox's pending `(src, tag)` keys — once the [`RetryPolicy`]
     /// backoff ladder has cumulatively waited past the receive timeout
     /// ([`recv_timeout`]: default 120 s, `--comm-timeout` /
-    /// `RHPL_COMM_TIMEOUT` / legacy `HPL_COMM_TIMEOUT_SECS` to override).
+    /// `RHPL_COMM_TIMEOUT` or [`FabricOpts::timeout`] to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
     pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
@@ -1314,12 +1305,18 @@ mod tests {
         let _ = Tag::user(Tag::RESERVED_BASE + 5);
     }
 
+    /// Per-fabric timeout, so the test never depends on (or freezes) the
+    /// process-wide default another test may already have resolved.
+    fn one_second_timeout() -> FabricOpts {
+        FabricOpts {
+            timeout: Some(std::time::Duration::from_secs(1)),
+            ..FabricOpts::default()
+        }
+    }
+
     #[test]
     fn recv_timeout_panics_with_diagnostic() {
-        // Shrink the timeout for this test only (env is read once per
-        // process, so set it before any recv path runs in this test bin).
-        std::env::set_var("HPL_COMM_TIMEOUT_SECS", "1");
-        let f = Fabric::new(2);
+        let f = Fabric::new_with_opts(2, one_second_timeout());
         f.send(1, 1, Tag::user(11), Box::new(5u8), 1); // unrelated pending msg
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = f.recv(1, 0, Tag::user(9));
@@ -1333,8 +1330,7 @@ mod tests {
 
     #[test]
     fn try_recv_reports_pending_keys_on_timeout() {
-        std::env::set_var("HPL_COMM_TIMEOUT_SECS", "1");
-        let f = Fabric::new(3);
+        let f = Fabric::new_with_opts(3, one_second_timeout());
         f.send(2, 1, Tag::user(4), Box::new(1u8), 1);
         let e = f.try_recv(1, 0, Tag::user(9)).unwrap_err();
         match e {
@@ -1424,13 +1420,7 @@ mod tests {
 
     #[test]
     fn per_fabric_timeout_overrides_the_global_default() {
-        let f = Fabric::new_with_opts(
-            2,
-            FabricOpts {
-                timeout: Some(std::time::Duration::from_secs(1)),
-                ..FabricOpts::default()
-            },
-        );
+        let f = Fabric::new_with_opts(2, one_second_timeout());
         let t0 = std::time::Instant::now();
         let e = f.try_recv(1, 0, Tag::user(9)).unwrap_err();
         assert!(matches!(e, CommError::Timeout { .. }), "{e:?}");
@@ -1442,13 +1432,7 @@ mod tests {
 
     #[test]
     fn timed_out_poll_rounds_are_counted() {
-        let f = Fabric::new_with_opts(
-            2,
-            FabricOpts {
-                timeout: Some(std::time::Duration::from_secs(1)),
-                ..FabricOpts::default()
-            },
-        );
+        let f = Fabric::new_with_opts(2, one_second_timeout());
         hpl_faults::set_world_rank(1);
         let _ = f.try_recv(1, 0, Tag::user(3)).unwrap_err();
         assert!(

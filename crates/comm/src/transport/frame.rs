@@ -1,7 +1,6 @@
-//! The versioned, checksummed frame codec shared by every remote transport.
+//! The versioned, checksummed frame codec of the remote transport.
 //!
-//! A frame is the unit both the TCP and shared-memory backends move between
-//! rank processes: a fixed 32-byte little-endian header, a length-prefixed
+//! A frame is the unit the TCP backend moves between rank processes: a fixed 32-byte little-endian header, a length-prefixed
 //! payload, and an FNV-1a trailer over everything before it (the same hash
 //! family `hpl-trace` and `hpl-ckpt` use, so corruption anywhere in the
 //! stack is caught by the same arithmetic).

@@ -2,17 +2,12 @@
 //! an address space.
 //!
 //! The in-process mailbox path (threads, `Box<dyn Any>` hand-off) stays the
-//! determinism oracle; this module adds a [`Transport`] seam at the
-//! `Fabric::try_send`/`try_recv` choke point with two remote backends:
+//! determinism oracle; at the `Fabric::try_send`/`try_recv` choke point a
+//! remote endpoint instead hands frames to the [`tcp`] backend:
+//! length-prefixed frames over loopback/LAN TCP sockets, one full-duplex
+//! link per rank pair, wired lower-rank-dials-higher.
 //!
-//! * [`tcp`] — length-prefixed frames over loopback/LAN TCP sockets, one
-//!   full-duplex link per rank pair, wired lower-rank-dials-higher.
-//! * [`shm`] — append-only frame logs in a shared directory, one file per
-//!   directed link, with a polling reader (the co-located-rank backend:
-//!   no sockets, survives either end's crash, and the frames are
-//!   inspectable on disk post-mortem).
-//!
-//! Both move [`frame::Frame`]s (versioned, checksummed) and deliver into
+//! It moves [`frame::Frame`]s (versioned, checksummed) and delivers into
 //! the ordinary per-rank mailbox through a [`FrameSink`], so matching,
 //! FIFO order, poison precedence and the spill lane are shared with the
 //! in-process path. Sends and receives *below* the choke point are
@@ -21,7 +16,6 @@
 //! `seq_hash` transport-invariant.
 
 pub mod frame;
-pub mod shm;
 pub mod tcp;
 pub mod wire;
 
@@ -35,18 +29,15 @@ pub enum TransportSel {
     /// Threads in one process sharing mailboxes directly (the oracle).
     #[default]
     Inproc,
-    /// Append-only shared-memory frame logs (co-located processes).
-    Shm,
     /// Length-prefixed TCP sockets.
     Tcp,
 }
 
 impl TransportSel {
-    /// Stable lowercase name ("inproc" / "shm" / "tcp").
+    /// Stable lowercase name ("inproc" / "tcp").
     pub fn name(self) -> &'static str {
         match self {
             TransportSel::Inproc => "inproc",
-            TransportSel::Shm => "shm",
             TransportSel::Tcp => "tcp",
         }
     }
@@ -58,7 +49,6 @@ impl std::str::FromStr for TransportSel {
     fn from_str(s: &str) -> Result<Self, ()> {
         match s.to_ascii_lowercase().as_str() {
             "inproc" => Ok(TransportSel::Inproc),
-            "shm" => Ok(TransportSel::Shm),
             "tcp" => Ok(TransportSel::Tcp),
             _ => Err(()),
         }
@@ -121,26 +111,7 @@ pub struct LinkStat {
     pub send_ns: u64,
 }
 
-/// A remote byte-moving backend: owns this rank's outbound links and the
-/// receiver threads feeding the mailbox through a [`FrameSink`].
-pub trait Transport: Send + Sync {
-    /// Backend name ("tcp" / "shm").
-    fn name(&self) -> &'static str;
-
-    /// Queues one frame to world rank `dst`. An error means the link is
-    /// down (the process died or the stream is torn); the caller poisons
-    /// the job with that rank's identity.
-    fn send(&self, dst: usize, frame: &Frame) -> Result<(), LinkError>;
-
-    /// Announces a clean shutdown (Goodbye to every live peer), stops the
-    /// receiver threads and joins them. Idempotent.
-    fn shutdown(&self);
-
-    /// Per-destination traffic snapshot for `BENCH_hpl.json` attribution.
-    fn link_stats(&self) -> Vec<LinkStat>;
-}
-
-/// Shared per-destination counters both backends update on the send path.
+/// Per-destination counters the tcp backend updates on the send path.
 pub(crate) struct LinkCounters {
     src: usize,
     bytes: Vec<AtomicU64>,
@@ -204,15 +175,12 @@ mod tests {
 
     #[test]
     fn transport_sel_parses_and_prints() {
-        for (s, sel) in [
-            ("inproc", TransportSel::Inproc),
-            ("SHM", TransportSel::Shm),
-            ("Tcp", TransportSel::Tcp),
-        ] {
+        for (s, sel) in [("inproc", TransportSel::Inproc), ("Tcp", TransportSel::Tcp)] {
             assert_eq!(s.parse::<TransportSel>(), Ok(sel));
             assert_eq!(sel.to_string(), sel.name());
         }
         assert_eq!("mpi".parse::<TransportSel>(), Err(()));
+        assert_eq!("shm".parse::<TransportSel>(), Err(()));
     }
 
     #[test]

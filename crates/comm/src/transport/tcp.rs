@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use super::frame::{Frame, FrameError, FrameKind, HEADER_LEN};
-use super::{FrameSink, LinkCounters, LinkError, LinkStat, Transport};
+use super::{FrameSink, LinkCounters, LinkError, LinkStat};
 
 /// Hello preamble magic: the dialer announces its rank before frames flow.
 const HELLO_MAGIC: u32 = 0x5248_4C4F;
@@ -133,12 +133,11 @@ pub struct TcpTransport {
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn send(&self, dst: usize, frame: &Frame) -> Result<(), LinkError> {
+impl TcpTransport {
+    /// Queues one frame to world rank `dst`. An error means the link is
+    /// down (the process died or the stream is torn); the caller poisons
+    /// the job with that rank's identity.
+    pub fn send(&self, dst: usize, frame: &Frame) -> Result<(), LinkError> {
         let slot = self.writers.get(dst).ok_or_else(|| LinkError {
             dst,
             detail: format!("rank {dst} outside the mesh"),
@@ -164,7 +163,9 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn shutdown(&self) {
+    /// Announces a clean shutdown (Goodbye to every live peer), stops the
+    /// reader threads and joins them. Idempotent.
+    pub fn shutdown(&self) {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -201,7 +202,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn link_stats(&self) -> Vec<LinkStat> {
+    /// Per-destination traffic snapshot for `BENCH_hpl.json` attribution.
+    pub fn link_stats(&self) -> Vec<LinkStat> {
         self.counters.snapshot()
     }
 }

@@ -2,25 +2,22 @@
 //! [`Communicator`] — over shared mailboxes (the in-process oracle) or a
 //! real byte-moving transport resolved from `RHPL_TRANSPORT`.
 //!
-//! Under `RHPL_TRANSPORT=tcp|shm` every rank thread owns a *remote* fabric
+//! Under `RHPL_TRANSPORT=tcp` every rank thread owns a *remote* fabric
 //! endpoint wired to its peers through frames, exactly the architecture
 //! `rhpl launch` runs with one OS process per rank — so the whole test
 //! suite exercises the transport stack without process management, and
-//! determinism across all three paths is a plain `cargo test` matter.
+//! determinism across both paths is a plain `cargo test` matter.
 
 use std::any::Any;
 use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hpl_faults::{FaultPlan, Injector, RankDeath};
 
 use crate::comm::Communicator;
 use crate::fabric::{Fabric, FabricOpts, RecoveryCounters};
-use crate::transport::shm::ShmTransport;
 use crate::transport::tcp::TcpBootstrap;
-use crate::transport::{record_run_link_stats, LinkStat, Transport, TransportSel};
+use crate::transport::{record_run_link_stats, LinkStat, TransportSel};
 
 type Payload = Box<dyn Any + Send>;
 
@@ -94,8 +91,8 @@ impl Universe {
     }
 
     /// Runs `f` with an explicit transport selection, ignoring the
-    /// environment — the determinism matrix pins all three backends side by
-    /// side in one process this way.
+    /// environment — the determinism matrix pins both backends side by side
+    /// in one process this way.
     pub fn run_with_transport<T, F>(
         nranks: usize,
         sel: TransportSel,
@@ -112,8 +109,8 @@ impl Universe {
                 let (results, panics) = Self::run_on(&fabric, f);
                 (results, panics, fabric.poison_info())
             }
-            sel => {
-                let run = Self::transport_run(nranks, sel, opts, f);
+            TransportSel::Tcp => {
+                let run = Self::tcp_run(nranks, opts, f);
                 (run.results, run.panics, run.poison)
             }
         };
@@ -161,12 +158,12 @@ impl Universe {
                     abft_repairs: fabric.counters().abft_repairs_snapshot(),
                 }
             }
-            sel => {
+            TransportSel::Tcp => {
                 let opts = FabricOpts {
                     faults: Some(Arc::clone(&injector)),
                     ..FabricOpts::default()
                 };
-                let run = Self::transport_run(nranks, sel, opts, f);
+                let run = Self::tcp_run(nranks, opts, f);
                 FaultedRun {
                     results: run.results,
                     injector,
@@ -222,38 +219,17 @@ impl Universe {
     /// architecture as one-process-per-rank, minus process management.
     /// Recovery counters are shared across endpoints so run reports
     /// aggregate like the oracle's single ledger.
-    fn transport_run<T, F>(
-        nranks: usize,
-        sel: TransportSel,
-        opts: FabricOpts,
-        f: F,
-    ) -> TransportRun<T>
+    fn tcp_run<T, F>(nranks: usize, opts: FabricOpts, f: F) -> TransportRun<T>
     where
         T: Send,
         F: Fn(Communicator) -> T + Sync,
     {
         assert!(nranks >= 1, "need at least one rank");
         let counters = Arc::new(RecoveryCounters::new(nranks));
-        let mut shm_dir = None;
-        let (rank_boots, addrs): (Vec<RankBoot>, Arc<Vec<SocketAddr>>) = match sel {
-            TransportSel::Tcp => {
-                let boots: Vec<TcpBootstrap> = (0..nranks)
-                    .map(|_| TcpBootstrap::bind().expect("bind tcp rendezvous listener"))
-                    .collect();
-                let addrs = Arc::new(boots.iter().map(TcpBootstrap::addr).collect::<Vec<_>>());
-                (boots.into_iter().map(RankBoot::Tcp).collect(), addrs)
-            }
-            TransportSel::Shm => {
-                let dir = fresh_shm_dir();
-                std::fs::create_dir_all(&dir).expect("create shm transport dir");
-                shm_dir = Some(dir.clone());
-                (
-                    (0..nranks).map(|_| RankBoot::Shm(dir.clone())).collect(),
-                    Arc::new(Vec::new()),
-                )
-            }
-            TransportSel::Inproc => unreachable!("inproc handled by run_on"),
-        };
+        let boots: Vec<TcpBootstrap> = (0..nranks)
+            .map(|_| TcpBootstrap::bind().expect("bind tcp rendezvous listener"))
+            .collect();
+        let addrs: Arc<Vec<SocketAddr>> = Arc::new(boots.iter().map(TcpBootstrap::addr).collect());
         let mut results: Vec<Option<T>> = Vec::with_capacity(nranks);
         results.resize_with(nranks, || None);
         let mut panics: Vec<Option<Payload>> = Vec::with_capacity(nranks);
@@ -265,9 +241,7 @@ impl Universe {
                 .iter_mut()
                 .zip(panics.iter_mut())
                 .zip(fabrics.iter_mut());
-            for (rank, (((slot, panic_slot), fabric_slot), boot)) in
-                slots.zip(rank_boots).enumerate()
-            {
+            for (rank, (((slot, panic_slot), fabric_slot), boot)) in slots.zip(boots).enumerate() {
                 let opts = opts.clone();
                 let counters = Arc::clone(&counters);
                 let addrs = Arc::clone(&addrs);
@@ -277,15 +251,9 @@ impl Universe {
                     .spawn_scoped(s, move || {
                         hpl_faults::set_world_rank(rank);
                         let fabric = Fabric::remote_shared(nranks, rank, opts, counters);
-                        let transport: Arc<dyn Transport> = match boot {
-                            RankBoot::Tcp(b) => b
-                                .connect(rank, &addrs, fabric.frame_sink())
-                                .expect("wire tcp mesh"),
-                            RankBoot::Shm(dir) => {
-                                ShmTransport::start(&dir, rank, nranks, fabric.frame_sink())
-                                    .expect("start shm transport")
-                            }
-                        };
+                        let transport = boot
+                            .connect(rank, &addrs, fabric.frame_sink())
+                            .expect("wire tcp mesh");
                         fabric.attach_transport(transport);
                         *fabric_slot = Some(Arc::clone(&fabric));
                         let comm = Communicator::new(Arc::clone(&fabric), rank);
@@ -313,9 +281,6 @@ impl Universe {
             .flat_map(|fabric| fabric.link_stats())
             .collect();
         record_run_link_stats(links);
-        if let Some(dir) = shm_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
         TransportRun {
             results,
             panics,
@@ -326,29 +291,12 @@ impl Universe {
     }
 }
 
-/// Per-rank rendezvous resource moved into that rank's thread.
-enum RankBoot {
-    Tcp(TcpBootstrap),
-    Shm(PathBuf),
-}
-
 struct TransportRun<T> {
     results: Vec<Option<T>>,
     panics: Vec<Option<Payload>>,
     poison: Option<(usize, String)>,
     retries: Vec<u64>,
     abft_repairs: Vec<u64>,
-}
-
-/// A unique directory per transport run (pid + counter) so concurrent
-/// tests in one process never share frame logs.
-fn fresh_shm_dir() -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "rhpl-shm-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
 }
 
 /// The phase to record for a rank whose thread panicked: an injected
@@ -472,7 +420,7 @@ mod tests {
 
     #[test]
     fn explicit_transport_roundtrip_matches_inproc() {
-        // The same exchange under all three transports, pinned explicitly
+        // The same exchange under both transports, pinned explicitly
         // (ignores RHPL_TRANSPORT) — the smallest cross-backend oracle.
         let run = |sel| {
             Universe::run_with_transport(3, sel, FabricOpts::default(), |c| {
@@ -489,7 +437,6 @@ mod tests {
         };
         let inproc = run(TransportSel::Inproc);
         assert_eq!(inproc, run(TransportSel::Tcp));
-        assert_eq!(inproc, run(TransportSel::Shm));
     }
 
     #[test]
@@ -508,7 +455,7 @@ mod tests {
             faults: Some(Arc::clone(&injector)),
             ..FabricOpts::default()
         };
-        let run = Universe::transport_run(2, TransportSel::Tcp, opts, |c| {
+        let run = Universe::tcp_run(2, opts, |c| {
             if c.rank() == 1 {
                 c.try_send(0, Tag::user(1), 7u32)
             } else {

@@ -1,5 +1,5 @@
-//! Property tests for the transport frame codec — the exact bytes every
-//! byte-moving backend (TCP sockets, shm frame logs) puts on the wire.
+//! Property tests for the transport frame codec — the exact bytes the TCP
+//! transport puts on the wire.
 //!
 //! Three families of properties:
 //!

@@ -218,7 +218,7 @@ mod tests {
         let e: HplError = hpl_comm::ConfigError {
             var: "RHPL_TRANSPORT",
             value: "carrier-pigeon".into(),
-            expected: "one of inproc, shm, tcp",
+            expected: "one of inproc, tcp",
         }
         .into();
         assert_eq!(e.kind(), "config");

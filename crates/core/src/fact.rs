@@ -759,7 +759,8 @@ mod tests {
             msg.contains("race-ledger") || msg.contains("pool worker died"),
             "unexpected panic payload: {msg}"
         );
-        ledger::reset(); // the dead worker cannot release its own claims
+        // The dead worker cannot release its own claims.
+        ledger::reset(shared.ptr as usize);
     }
 
     /// Disjoint tiles and protocol-respecting phases must NOT trip the

@@ -59,8 +59,7 @@ cargo xtask faults --self-test
 echo "== [recovery] cargo xtask faults --recovery"
 cargo xtask faults --recovery
 
-echo "== [transport-matrix] cargo test -q under each byte-moving transport"
-RHPL_TRANSPORT=shm cargo test -q
+echo "== [transport-matrix] cargo test -q under the tcp transport"
 RHPL_TRANSPORT=tcp cargo test -q
 
 echo "== [transport-matrix] cargo xtask faults --kill"

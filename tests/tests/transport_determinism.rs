@@ -1,12 +1,11 @@
 //! The transport matrix half of the determinism story: the same (seed,
-//! HPL.dat) run over in-process mailboxes, shared-memory frame logs, and TCP
-//! sockets must produce a **bitwise identical** solution vector and span
+//! HPL.dat) run over in-process mailboxes and TCP sockets must produce a **bitwise identical** solution vector and span
 //! sequence (`seq_hash`). The in-process fabric is the oracle; any
 //! divergence on a byte-moving transport is attributable in one A/B run.
 //!
 //! Selection goes through `Universe::run_with_transport` rather than the
-//! `RHPL_TRANSPORT` env var, so one process can pin all three backends side
-//! by side regardless of how the test suite itself is being run.
+//! `RHPL_TRANSPORT` env var, so one process can pin both backends side by
+//! side regardless of how the test suite itself is being run.
 
 use hpl_comm::{FabricOpts, TransportSel, Universe};
 use rhpl_core::config::Schedule;
@@ -57,7 +56,7 @@ fn assert_bitwise_equal(oracle: &RunOut, other: &RunOut, name: &str) {
     );
 }
 
-/// One test (not three) on purpose: `last_run_link_stats` is process-global
+/// One test (not two) on purpose: `last_run_link_stats` is process-global
 /// and the harness runs a binary's tests concurrently — sequencing the
 /// matrix in one body keeps the link-ledger assertions race-free.
 #[test]
@@ -78,7 +77,4 @@ fn transport_matrix_is_bitwise_identical_and_exposes_links() {
     );
     assert!(links.iter().all(|l| l.src != l.dst));
     assert!(links.iter().any(|l| l.bytes > 0 && l.frames > 0));
-
-    let shm = traced_run(&cfg, TransportSel::Shm);
-    assert_bitwise_equal(&oracle, &shm, "shm");
 }
