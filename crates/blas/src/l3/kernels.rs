@@ -59,6 +59,17 @@ pub enum KernelSel {
     Simd,
 }
 
+impl KernelSel {
+    /// The request as spelled on the command line (`auto`/`scalar`/`simd`).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelSel::Auto => "auto",
+            KernelSel::Scalar => "scalar",
+            KernelSel::Simd => "simd",
+        }
+    }
+}
+
 impl std::str::FromStr for KernelSel {
     type Err = ();
 

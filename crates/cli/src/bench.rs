@@ -33,6 +33,7 @@ use hpl_trace::report::{
     RankTrace,
 };
 
+use crate::opts::RunOpts;
 use crate::runner::RunRecord;
 
 /// Schema identifier written to every file; bump on breaking changes.
@@ -78,10 +79,10 @@ pub struct RunReport {
     pub sweeps: u64,
     /// DGEMM microkernel the process resolved to (`scalar` / `simd`).
     pub kernel: String,
-    /// Mailbox implementation the fabric resolved to (`lockfree` / `mutex`,
-    /// from `RHPL_MAILBOX`).
+    /// Mailbox implementation the run used (`lockfree` / `mutex`, from
+    /// `RHPL_MAILBOX`).
     pub mailbox: String,
-    /// Transport the universe resolved to (`inproc` / `tcp`, from
+    /// Transport the run used (`inproc` / `tcp`, from `--transport` or
     /// `RHPL_TRANSPORT`).
     pub transport: String,
     /// Per-directed-link transport counters of the most recent run (empty
@@ -130,8 +131,8 @@ pub struct LinkReport {
     pub send_ns: u64,
 }
 
-/// Builds one [`RunReport`] from a finished record.
-pub fn run_report(rec: &RunRecord) -> RunReport {
+/// Builds one [`RunReport`] from a record that ran under `opts`.
+pub fn run_report(rec: &RunRecord, opts: &RunOpts) -> RunReport {
     let schedule = match rec.cfg.schedule {
         rhpl_core::config::Schedule::Simple => "simple".to_string(),
         rhpl_core::config::Schedule::LookAhead => "lookahead".to_string(),
@@ -150,8 +151,8 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
         fact_gflops: rec.mxp.as_ref().map_or(0.0, |m| m.fact_gflops),
         sweeps: rec.mxp.as_ref().map_or(0, |m| m.sweeps as u64),
         kernel: hpl_blas::kernels::active().name().to_string(),
-        mailbox: hpl_comm::active_mailbox_name().to_string(),
-        transport: hpl_comm::active_transport_name().to_string(),
+        mailbox: opts.mailbox.name().to_string(),
+        transport: opts.transport.name().to_string(),
         links: hpl_comm::last_run_link_stats()
             .iter()
             .map(|l| LinkReport {
@@ -178,19 +179,19 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
 }
 
 /// Assembles the whole file from a sweep's records.
-pub fn bench_file(records: &[RunRecord]) -> BenchFile {
+pub fn bench_file(records: &[RunRecord], opts: &RunOpts) -> BenchFile {
     let flops: f64 = records.iter().map(|r| r.cfg.flops()).sum();
     let wall: f64 = records.iter().map(|r| r.time).sum();
     BenchFile {
         schema: SCHEMA.to_string(),
         aggregate_gflops: if wall > 0.0 { flops / wall / 1e9 } else { 0.0 },
-        runs: records.iter().map(run_report).collect(),
+        runs: records.iter().map(|r| run_report(r, opts)).collect(),
     }
 }
 
 /// Serializes and writes `BENCH_hpl.json` to `path`.
-pub fn write_bench_json(records: &[RunRecord], path: &str) -> std::io::Result<()> {
-    let file = bench_file(records);
+pub fn write_bench_json(records: &[RunRecord], path: &str, opts: &RunOpts) -> std::io::Result<()> {
+    let file = bench_file(records, opts);
     let json = serde_json::to_string(&file).expect("bench schema serializes infallibly");
     std::fs::write(path, json)
 }
@@ -199,7 +200,8 @@ pub fn write_bench_json(records: &[RunRecord], path: &str) -> std::io::Result<()
 mod tests {
     use super::*;
     use crate::dat::{parse, SAMPLE};
-    use crate::runner::{expand, run_one_traced};
+    use crate::opts::from_process_env;
+    use crate::runner::{expand, run_one};
 
     #[test]
     fn traced_run_produces_well_formed_report() {
@@ -208,10 +210,11 @@ mod tests {
         spec.nbs = vec![16];
         let (mut cfg, depth) = expand(&spec, 42, 0.5, 1).remove(0);
         cfg.trace = hpl_trace::TraceOpts::on();
-        let rec = run_one_traced(&cfg, depth, spec.threshold).expect("clean run");
+        let opts = from_process_env();
+        let rec = run_one(&cfg, depth, spec.threshold, &opts).expect("clean run");
         assert!(rec.passed);
         assert_eq!(rec.traces.len(), cfg.ranks());
-        let report = run_report(&rec);
+        let report = run_report(&rec, &opts);
         assert_eq!(report.iterations.len(), cfg.iterations());
         // Every iteration's critical path spends time in the row swap and
         // UPDATE; FACT appears in every iteration except the last, whose
@@ -229,7 +232,7 @@ mod tests {
         // The split-update schedule hides comm; the metric must see it.
         assert!(report.overlap_efficiency > 0.0);
         assert_eq!(report.dropped_spans, 0);
-        let json = serde_json::to_string(&bench_file(&[rec])).unwrap();
+        let json = serde_json::to_string(&bench_file(&[rec], &opts)).unwrap();
         assert!(json.contains("\"schema\":\"rhpl-bench-v1\""));
         assert!(json.contains("\"phase\":\"Update\""));
     }
@@ -240,9 +243,10 @@ mod tests {
         spec.ns = vec![64];
         spec.nbs = vec![16];
         let (cfg, depth) = expand(&spec, 42, 0.0, 1).remove(0);
-        let rec = run_one_traced(&cfg, depth, spec.threshold).expect("clean run");
+        let opts = from_process_env();
+        let rec = run_one(&cfg, depth, spec.threshold, &opts).expect("clean run");
         assert!(rec.traces.is_empty());
-        let report = run_report(&rec);
+        let report = run_report(&rec, &opts);
         assert_eq!(report.overlap_efficiency, 0.0);
         assert!(report.ranks.is_empty());
     }

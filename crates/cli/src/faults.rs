@@ -18,12 +18,16 @@
 //! repeated runs. Exit code is 0 for all-`HPLOK`, 3 when any combination
 //! ends in `HPLERROR`, and 1 for a wrong answer that slipped past the
 //! structured error taxonomy (`HPLBAD`, a gate failure).
+//!
+//! [`crate::recover::run_one_supervised`] runs each combination; without
+//! `--ckpt-every` it makes exactly one attempt and prints this block.
 
 use std::fmt::Write as _;
 
 use hpl_comm::{FaultedRun, Grid, GridOrder, Universe};
-use hpl_faults::FaultPlan;
-use rhpl_core::{run_hpl, verify, HplConfig, HplError, HplResult};
+use rhpl_core::{verify, HplConfig, HplError, HplResult};
+
+use crate::opts::RunOpts;
 
 /// Outcome of one faulted combination.
 pub struct FaultOutcome {
@@ -47,32 +51,6 @@ impl FaultOutcome {
     /// rather than a wrong answer (`HPLBAD`, exit code 1).
     pub fn structured_error(&self) -> bool {
         matches!(&self.verdict, Err(l) if l.starts_with("HPLERROR"))
-    }
-}
-
-/// Runs one configuration under `plan` and formats its protocol block.
-pub fn run_one_faulted(cfg: &HplConfig, plan: FaultPlan, threshold: f64) -> FaultOutcome {
-    let run = Universe::run_with_faults(cfg.ranks(), plan, |comm| run_hpl(comm, cfg));
-    let mut block = String::new();
-    let _ = writeln!(
-        block,
-        "FAULTRUN n={} nb={} grid={}x{} seed={}",
-        cfg.n, cfg.nb, cfg.p, cfg.q, cfg.seed
-    );
-    let verdict = judge(cfg, &run, threshold);
-    match &verdict {
-        Ok(residual) => {
-            let _ = writeln!(block, "HPLOK residual={residual:.6e}");
-        }
-        Err(line) => {
-            let _ = writeln!(block, "{line}");
-        }
-    }
-    write_faultlog(&mut block, &run.injector, &run.abft_repairs);
-    FaultOutcome {
-        verdict,
-        block,
-        recoveries: 0,
     }
 }
 
@@ -112,6 +90,7 @@ pub(crate) fn judge(
     cfg: &HplConfig,
     run: &FaultedRun<Result<HplResult, HplError>>,
     threshold: f64,
+    opts: &RunOpts,
 ) -> Result<f64, String> {
     if let Some((rank, phase)) = &run.poison {
         return Err(error_line(&HplError::RankFailed {
@@ -132,7 +111,7 @@ pub(crate) fn judge(
         // Unreachable: the loop above returned on None / Err.
         _ => return Err("HPLBAD rank 0 produced no solution".to_string()),
     };
-    let res = Universe::run(cfg.ranks(), |comm| {
+    let res = Universe::run_with_transport(cfg.ranks(), opts.transport, opts.fabric(), |comm| {
         let grid = Grid::new(comm, cfg.p, cfg.q, GridOrder::ColumnMajor);
         verify(&grid, cfg.n, cfg.nb, cfg.seed, &x)
     });
@@ -178,6 +157,13 @@ pub(crate) fn error_line(e: &HplError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::from_process_env;
+    use hpl_faults::FaultPlan;
+
+    /// Fault mode without checkpoints: one attempt, no restarts.
+    fn run_one_faulted(cfg: &HplConfig, plan: FaultPlan, threshold: f64) -> FaultOutcome {
+        crate::recover::run_one_supervised(cfg, plan, threshold, None, &from_process_env())
+    }
 
     fn tiny_cfg() -> HplConfig {
         let mut cfg = HplConfig::new(48, 8, 1, 2);

@@ -26,6 +26,17 @@
 //! Exit codes: 0 success, 1 wrong answer or usage error, 2 configuration
 //! error, 3 structured failure (unrecovered rank death and the like).
 //!
+//! The supervisor spawns each child as `rhpl _rank` with argv built by
+//! [`RunOpts::child_argv`]: every setting it resolved, spelled as flags
+//! (`--transport`, `--ckpt-dir`, `--seed`, `--kernel`, ...), plus the
+//! internal `--rank R`, `--ctrl ADDR` and, on restart attempts,
+//! `--disarm`. The child parses that argv with the same
+//! [`RunOpts::parse`], so it cannot drift from the supervisor. Only
+//! `RHPL_MAILBOX` and `RHPL_MAILBOX_CAP`, which have no flag, reach it
+//! through the inherited environment. A launch runs the f64 pipeline or,
+//! with `--mxp`, HPL-MxP; `--element f32` (or `RHPL_ELEMENT=f32`) without
+//! `--mxp` and `--trace-json` are refused up front.
+//!
 //! Control-plane line protocol (child <-> supervisor over one TCP stream):
 //!
 //! ```text
@@ -46,7 +57,6 @@
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,11 +65,12 @@ use std::time::{Duration, Instant};
 use hpl_ckpt::CkptStore;
 use hpl_comm::transport::tcp::TcpBootstrap;
 use hpl_comm::{Communicator, Fabric, FabricOpts, Grid, TransportSel, Universe};
-use hpl_faults::{FaultPlan, Injector, RankDeath};
+use hpl_faults::{Injector, RankDeath};
 use hpl_trace::report::{seq_hash, seq_hash_streams, seq_words};
 use rhpl_core::{run_hpl, verify, CkptOpts, HplConfig};
 
 use crate::dat;
+use crate::opts::{Mode, RunOpts};
 use crate::recover::MAX_ATTEMPTS;
 use crate::runner;
 
@@ -76,82 +87,23 @@ const RENDEZVOUS_DEADLINE: Duration = Duration::from_secs(60);
 /// before the supervisor kills the stragglers.
 const UNWIND_DEADLINE: Duration = Duration::from_secs(15);
 
-fn arg_value<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// The launch invocation, parsed: supervisor-only knobs plus the argument
-/// list forwarded verbatim to every `_rank` child.
-struct LaunchSpec {
-    ranks: usize,
-    sel: TransportSel,
-    ckpt_every: usize,
-    ckpt_dir: PathBuf,
-    child_args: Vec<String>,
-    cfg: HplConfig,
-}
-
-fn parse_launch(args: &[String]) -> Result<LaunchSpec, String> {
-    let ranks: usize = arg_value(args, "--ranks").ok_or("launch needs --ranks N")?;
-    let sel = match arg_value::<String>(args, "--transport") {
-        Some(t) => t
-            .parse::<TransportSel>()
-            .map_err(|()| format!("--transport must be inproc or tcp (got {t})"))?,
-        None => TransportSel::Tcp,
-    };
-    // Everything except the launch-only flags is the child's business.
-    let mut child_args = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a == "--ranks" || a == "--transport" || a == "--ckpt-dir" {
-            skip = true;
-            continue;
-        }
-        let _ = i;
-        child_args.push(a.clone());
-    }
-    // Launch runs ONE configuration: the first combination of the sweep
-    // (document in --help; sweeps belong to single-process mode).
-    let path = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !args[i - 1].starts_with("--")))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "HPL.dat".to_string());
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// The one configuration a launched job runs — the first combination of
+/// the sweep (sweeps belong to single-process mode) — and its residual
+/// threshold. Supervisor and children derive it from the same options.
+fn launch_config(opts: &RunOpts) -> Result<(HplConfig, f64), String> {
+    let path = &opts.path;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let spec = dat::parse(&text).map_err(|e| e.to_string())?;
-    let split_frac: f64 = arg_value(args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(args, "--seed").unwrap_or(42);
-    let combos = runner::expand(&spec, seed, split_frac, threads);
+    let combos = runner::expand(&spec, opts.seed, opts.split_frac, opts.threads);
     let (cfg, _depth) = combos.into_iter().next().ok_or("empty sweep")?;
+    let ranks = opts.ranks.ok_or("launch needs --ranks N")?;
     if cfg.ranks() != ranks {
         return Err(format!(
             "--ranks {ranks} does not match the {}x{} grid of the input file",
             cfg.p, cfg.q
         ));
     }
-    let ckpt_every: usize = arg_value(args, "--ckpt-every").unwrap_or(0);
-    let ckpt_dir = arg_value::<String>(args, "--ckpt-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("rhpl-launch-ckpt-{}", std::process::id()))
-        });
-    Ok(LaunchSpec {
-        ranks,
-        sel,
-        ckpt_every,
-        ckpt_dir,
-        child_args,
-        cfg,
-    })
+    Ok((cfg, spec.threshold))
 }
 
 /// What one gang attempt ended as.
@@ -169,41 +121,40 @@ enum Attempt {
 }
 
 /// Runs `rhpl launch ...`: the supervisor entry point.
-pub fn run_launch(args: &[String]) -> ExitCode {
-    let spec = match parse_launch(args) {
-        Ok(s) => s,
+pub fn run_launch(opts: &RunOpts) -> ExitCode {
+    let cfg = match launch_config(opts) {
+        Ok((cfg, _)) => cfg,
         Err(e) => {
             eprintln!("rhpl: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let ranks = cfg.ranks();
     // The recovery protocol needs checkpoints that survive process death:
     // the store lives on disk, wiped once up front so attempt 1 is clean.
-    let store = if spec.ckpt_every > 0 {
-        match CkptStore::disk_fresh(&spec.ckpt_dir, spec.ranks) {
+    let store = match (&opts.ckpt_dir, opts.ckpt_every > 0) {
+        (Some(dir), true) => match CkptStore::disk_fresh(dir, ranks) {
             Ok(s) => Some(s),
             Err(e) => {
                 eprintln!("rhpl: cannot open checkpoint dir: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    } else {
-        None
+        },
+        _ => None,
     };
     println!(
-        "LAUNCH ranks={} transport={} n={} nb={} grid={}x{} seed={} ckpt_every={}",
-        spec.ranks,
-        spec.sel.name(),
-        spec.cfg.n,
-        spec.cfg.nb,
-        spec.cfg.p,
-        spec.cfg.q,
-        spec.cfg.seed,
-        spec.ckpt_every
+        "LAUNCH ranks={ranks} transport={} n={} nb={} grid={}x{} seed={} ckpt_every={}",
+        opts.transport.name(),
+        cfg.n,
+        cfg.nb,
+        cfg.p,
+        cfg.q,
+        cfg.seed,
+        opts.ckpt_every
     );
     flush_stdout();
     for attempt in 1..=MAX_ATTEMPTS {
-        match run_attempt(&spec, attempt) {
+        match run_attempt(opts, ranks, attempt) {
             Attempt::Ok {
                 residual,
                 seq,
@@ -219,7 +170,7 @@ pub fn run_launch(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             Attempt::Down { kind } => {
-                if spec.ckpt_every == 0 || attempt == MAX_ATTEMPTS {
+                if opts.ckpt_every == 0 || attempt == MAX_ATTEMPTS {
                     println!("HPLERROR kind={kind} attempts={attempt}");
                     flush_stdout();
                     return ExitCode::from(3);
@@ -251,7 +202,7 @@ struct CtrlState {
     writers: Vec<Mutex<Option<TcpStream>>>,
 }
 
-fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
+fn run_attempt(opts: &RunOpts, ranks: usize, attempt: usize) -> Attempt {
     let listener = match TcpListener::bind("127.0.0.1:0") {
         Ok(l) => l,
         Err(e) => return Attempt::Fatal(format!("bind control plane: {e}")),
@@ -260,9 +211,9 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
         Ok(a) => a,
         Err(e) => return Attempt::Fatal(format!("control plane addr: {e}")),
     };
-    let nprocs = match spec.sel {
+    let nprocs = match opts.transport {
         TransportSel::Inproc => 1,
-        TransportSel::Tcp => spec.ranks,
+        TransportSel::Tcp => ranks,
     };
     let exe = match std::env::current_exe() {
         Ok(p) => p,
@@ -270,24 +221,13 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
     };
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(nprocs);
     for rank in 0..nprocs {
+        // Replacement ranks (attempt > 1) are healthy hardware: one-shot
+        // faults fired on a previous attempt and must not re-fire; sticky
+        // ones keep firing (and eventually exhaust the attempt budget).
         let mut cmd = Command::new(&exe);
-        cmd.arg("_rank")
-            .args(&spec.child_args)
-            .env("RHPL_LAUNCH_RANK", rank.to_string())
-            .env("RHPL_LAUNCH_RANKS", spec.ranks.to_string())
-            .env("RHPL_LAUNCH_CTRL", ctrl_addr.to_string())
-            .env("RHPL_TRANSPORT", spec.sel.name())
+        cmd.args(opts.child_argv(rank, ctrl_addr, attempt > 1))
             .stdin(Stdio::null())
             .stdout(Stdio::null());
-        if spec.ckpt_every > 0 {
-            cmd.env("RHPL_LAUNCH_CKPT_DIR", &spec.ckpt_dir);
-        }
-        if attempt > 1 {
-            // Replacement ranks are healthy hardware: one-shot faults fired
-            // on a previous attempt and must not re-fire; sticky ones keep
-            // firing (and eventually exhaust the attempt budget).
-            cmd.env("RHPL_LAUNCH_DISARM", "1");
-        }
         match cmd.spawn() {
             Ok(child) => {
                 println!("RANKPID rank={rank} pid={}", child.id());
@@ -374,7 +314,7 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
         reader_handles.push(std::thread::spawn(move || ctrl_read(rank, reader, &state)));
     }
 
-    let outcome = watch_children(spec, &state, &mut children);
+    let outcome = watch_children(&state, &mut children);
 
     for h in reader_handles {
         let _ = h.join();
@@ -384,11 +324,7 @@ fn run_attempt(spec: &LaunchSpec, attempt: usize) -> Attempt {
 
 /// The supervisor's watch loop: polls child exits and heartbeat age until
 /// the attempt resolves.
-fn watch_children(
-    spec: &LaunchSpec,
-    state: &Arc<CtrlState>,
-    children: &mut Vec<(usize, Child)>,
-) -> Attempt {
+fn watch_children(state: &Arc<CtrlState>, children: &mut Vec<(usize, Child)>) -> Attempt {
     let mut exited: Vec<(usize, std::process::ExitStatus)> = Vec::new();
     loop {
         children.retain_mut(|(rank, child)| match child.try_wait() {
@@ -451,7 +387,6 @@ fn watch_children(
             children.remove(idx);
             return unwind_survivors(rank, state, children, &mut exited);
         }
-        let _ = spec;
         std::thread::sleep(POLL);
     }
 }
@@ -566,168 +501,68 @@ fn flush_stdout() {
 // `_rank` child side
 // ---------------------------------------------------------------------------
 
-/// The environment contract between supervisor and child.
-struct RankEnv {
+/// One launched rank: its place in the job, parsed from the argv the
+/// supervisor built ([`RunOpts::child_argv`]), and what it runs.
+struct ChildSpec {
     rank: usize,
     ranks: usize,
     ctrl: SocketAddr,
-    sel: TransportSel,
-    ckpt_dir: Option<PathBuf>,
-    disarm: bool,
+    cfg: HplConfig,
+    threshold: f64,
+    injector: Option<Arc<Injector>>,
 }
 
-fn read_rank_env() -> Result<RankEnv, String> {
-    let var = |k: &str| std::env::var(k).map_err(|_| format!("missing {k}"));
-    let rank = var("RHPL_LAUNCH_RANK")?
-        .parse()
-        .map_err(|e| format!("bad RHPL_LAUNCH_RANK: {e}"))?;
-    let ranks = var("RHPL_LAUNCH_RANKS")?
-        .parse()
-        .map_err(|e| format!("bad RHPL_LAUNCH_RANKS: {e}"))?;
-    let ctrl = var("RHPL_LAUNCH_CTRL")?
-        .parse()
-        .map_err(|e| format!("bad RHPL_LAUNCH_CTRL: {e}"))?;
-    let sel = hpl_comm::config::env_transport().map_err(|e| e.to_string())?;
-    Ok(RankEnv {
+fn child_spec(opts: &RunOpts) -> Result<ChildSpec, String> {
+    let Mode::Rank { rank, ctrl, disarm } = opts.mode else {
+        return Err("not a _rank invocation".into());
+    };
+    let (mut cfg, threshold) = launch_config(opts)?;
+    let ranks = cfg.ranks();
+    cfg.trace = hpl_trace::TraceOpts::on();
+    if opts.ckpt_every > 0 {
+        let dir = opts
+            .ckpt_dir
+            .as_deref()
+            .ok_or("--ckpt-every without --ckpt-dir")?;
+        let store = CkptStore::disk(dir, ranks).map_err(|e| format!("ckpt store: {e}"))?;
+        cfg.ckpt = CkptOpts {
+            every: opts.ckpt_every,
+            store: Some(store),
+            resume: true,
+        };
+    }
+    Ok(ChildSpec {
         rank,
         ranks,
         ctrl,
-        sel,
-        ckpt_dir: std::env::var("RHPL_LAUNCH_CKPT_DIR")
-            .ok()
-            .map(PathBuf::from),
-        disarm: std::env::var("RHPL_LAUNCH_DISARM").is_ok(),
+        cfg,
+        threshold,
+        injector: (opts.faulted())
+            .then(|| opts.fault_plan(ranks, disarm))
+            .transpose()?
+            .map(|plan| Injector::new(plan, ranks)),
     })
 }
 
-/// Builds this process's fault injector from the forwarded `--fault` flags.
-/// On restart attempts (`disarm`) only sticky specs survive — a one-shot
-/// fault fired on dead hardware that has since been replaced.
-fn build_injector(
-    args: &[String],
-    ranks: usize,
-    disarm: bool,
-) -> Result<Option<Arc<Injector>>, String> {
-    let mut specs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--fault")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    let has_seed = args.iter().any(|a| a == "--fault-seed");
-    if specs.is_empty() && !has_seed {
-        return Ok(None);
-    }
-    let seed: u64 = arg_value(args, "--fault-seed").unwrap_or(1);
-    if disarm {
-        // The spec grammar puts `sticky` only in the trailing flag position.
-        specs.retain(|s| s.ends_with(":sticky"));
-    }
-    let plan = if specs.is_empty() {
-        if has_seed && !disarm {
-            FaultPlan::from_seed(seed, ranks)
-        } else {
-            FaultPlan::new(seed)
-        }
-    } else {
-        FaultPlan::parse(seed, &specs).map_err(|e| format!("bad --fault spec: {e}"))?
-    };
-    Ok(Some(Injector::new(plan, ranks)))
-}
-
 /// Runs `rhpl _rank ...`: one rank of a launched job.
-pub fn run_rank(args: &[String]) -> ExitCode {
+pub fn run_rank(opts: &RunOpts) -> ExitCode {
     // Like fault-soak mode: outcomes travel on the control plane, not as
     // panic backtraces.
     std::panic::set_hook(Box::new(|_| {}));
-    let env = match read_rank_env() {
-        Ok(e) => e,
-        Err(msg) => {
-            eprintln!("rhpl (_rank): {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match parse_launch_child(args, &env) {
+    let spec = match child_spec(opts) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("rhpl (_rank): {msg}");
             return ExitCode::FAILURE;
         }
     };
-    match rank_main(&env, spec) {
+    match rank_main(&spec, opts) {
         Ok(code) => code,
         Err(msg) => {
-            eprintln!("rhpl (_rank {}): {msg}", env.rank);
+            eprintln!("rhpl (_rank {}): {msg}", spec.rank);
             ExitCode::FAILURE
         }
     }
-}
-
-struct ChildSpec {
-    cfg: HplConfig,
-    threshold: f64,
-    injector: Option<Arc<Injector>>,
-    /// Run the HPL-MxP benchmark (f32 factorization + f64 refinement)
-    /// instead of the classic f64 pipeline.
-    mxp: bool,
-}
-
-fn parse_launch_child(args: &[String], env: &RankEnv) -> Result<ChildSpec, String> {
-    let path = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !args[i - 1].starts_with("--")))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "HPL.dat".to_string());
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let spec = dat::parse(&text).map_err(|e| e.to_string())?;
-    let split_frac: f64 = arg_value(args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(args, "--seed").unwrap_or(42);
-    let combos = runner::expand(&spec, seed, split_frac, threads);
-    let (mut cfg, _depth) = combos.into_iter().next().ok_or("empty sweep")?;
-    if cfg.ranks() != env.ranks {
-        return Err(format!(
-            "grid {}x{} does not match RHPL_LAUNCH_RANKS={}",
-            cfg.p, cfg.q, env.ranks
-        ));
-    }
-    cfg.trace = hpl_trace::TraceOpts::on();
-    let ckpt_every: usize = arg_value(args, "--ckpt-every").unwrap_or(0);
-    if ckpt_every > 0 {
-        let dir = env
-            .ckpt_dir
-            .as_deref()
-            .ok_or("--ckpt-every without RHPL_LAUNCH_CKPT_DIR")?;
-        let store = CkptStore::disk(dir, env.ranks).map_err(|e| format!("ckpt store: {e}"))?;
-        cfg.ckpt = CkptOpts {
-            every: ckpt_every,
-            store: Some(store),
-            resume: true,
-        };
-    }
-    let injector = build_injector(args, env.ranks, env.disarm)?;
-    let mxp = args.iter().any(|a| a == "--mxp");
-    if mxp && injector.is_some() {
-        return Err(
-            "--mxp does not combine with --fault (fault soak runs the f64 pipeline)".into(),
-        );
-    }
-    Ok(ChildSpec {
-        cfg,
-        threshold: spec.threshold,
-        injector,
-        mxp,
-    })
-}
-
-/// What one rank's solve produced — the classic f64 pipeline's result or
-/// the mixed-precision benchmark's output.
-enum RankOutcome {
-    /// Classic HPL: solution + trace; verified in a post-run collective.
-    Hpl(rhpl_core::HplResult),
-    /// HPL-MxP: residuals already computed inside the solve.
-    Mxp(hpl_mxp::MxpOutput),
 }
 
 /// A write handle for control-plane lines, shared between the rank body and
@@ -743,22 +578,22 @@ impl CtrlLine {
     }
 }
 
-fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
-    let stream = TcpStream::connect_timeout(&env.ctrl, RENDEZVOUS_DEADLINE)
+fn rank_main(spec: &ChildSpec, opts: &RunOpts) -> Result<ExitCode, String> {
+    let stream = TcpStream::connect_timeout(&spec.ctrl, RENDEZVOUS_DEADLINE)
         .map_err(|e| format!("dial control plane: {e}"))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let ctrl = CtrlLine(Arc::new(Mutex::new(stream)));
 
     // Data-plane listener first, so the hello can carry its address.
-    let boot = match env.sel {
+    let boot = match opts.transport {
         TransportSel::Tcp => Some(TcpBootstrap::bind().map_err(|e| format!("bind data: {e}"))?),
         TransportSel::Inproc => None,
     };
     let my_addr = boot
         .as_ref()
         .map_or_else(|| "-".to_string(), |b| b.addr().to_string());
-    ctrl.send(&format!("hello rank={} addr={my_addr}", env.rank));
+    ctrl.send(&format!("hello rank={} addr={my_addr}", spec.rank));
     let mut addr_line = String::new();
     reader
         .read_line(&mut addr_line)
@@ -774,7 +609,7 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
     let hb = {
         let ctrl = ctrl.clone();
         let stopping = Arc::clone(&stopping);
-        let rank = env.rank;
+        let rank = spec.rank;
         std::thread::spawn(move || {
             while !stopping.load(Ordering::Relaxed) {
                 ctrl.send(&format!("hb rank={rank}"));
@@ -783,10 +618,10 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
         })
     };
 
-    hpl_faults::set_world_rank(env.rank);
+    hpl_faults::set_world_rank(spec.rank);
     let code = match boot {
-        None => rank_body_inproc(env, &spec, &ctrl),
-        Some(boot) => rank_body_tcp(env, &spec, &ctrl, boot, &addrs, reader),
+        None => rank_body_inproc(spec, opts, &ctrl),
+        Some(boot) => rank_body_tcp(spec, opts, &ctrl, boot, &addrs, reader),
     };
     stopping.store(true, Ordering::Relaxed);
     let _ = hb.join();
@@ -795,153 +630,93 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
 
 /// `--transport inproc`: the whole job runs in this one child as threads —
 /// the oracle the multi-process tcp transport is measured against, behind the
-/// same supervisor protocol (so `kill -9` + restart works here too).
-fn rank_body_inproc(env: &RankEnv, spec: &ChildSpec, ctrl: &CtrlLine) -> Result<ExitCode, String> {
-    if spec.mxp {
-        return rank_body_inproc_mxp(env, spec, ctrl);
-    }
-    let run = match &spec.injector {
-        Some(inj) => {
-            let run = Universe::run_with_injector(env.ranks, Arc::clone(inj), |comm| {
-                run_hpl(comm, &spec.cfg)
-            });
-            if let Some((rank, _phase)) = &run.poison {
-                ctrl.send(&format!("err rank={rank} kind=rank_failed"));
-                return Ok(ExitCode::from(3));
-            }
-            run.results
-        }
+/// same supervisor protocol (so `kill -9` + restart works here too). A clean
+/// run is exactly the in-process `rhpl` run of the same options.
+fn rank_body_inproc(spec: &ChildSpec, opts: &RunOpts, ctrl: &CtrlLine) -> Result<ExitCode, String> {
+    let verdict = match &spec.injector {
+        Some(inj) => inproc_faulted(spec, opts, inj),
         None => {
-            let opts = FabricOpts::default();
-            let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Universe::run_with_transport(env.ranks, TransportSel::Inproc, opts, |comm| {
-                    run_hpl(comm, &spec.cfg)
-                })
-            }));
-            match results {
-                Ok(r) => r.into_iter().map(Some).collect(),
-                Err(_) => {
-                    ctrl.send(&format!("err rank={} kind=rank_failed", env.rank));
-                    return Ok(ExitCode::from(3));
-                }
+            let run = || runner::run_one(&spec.cfg, 0, spec.threshold, opts);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(Ok(rec)) => Ok((rec.residual, seq_hash(&rec.traces), rec.passed)),
+                Ok(Err(e)) => Err(e.kind()),
+                Err(_) => Err("rank_failed"),
             }
         }
     };
-    let mut results = Vec::with_capacity(env.ranks);
-    for (rank, r) in run.into_iter().enumerate() {
-        match r {
-            Some(Ok(res)) => results.push(res),
-            Some(Err(e)) => {
-                ctrl.send(&format!("err rank={rank} kind={}", e.kind()));
-                return Ok(ExitCode::from(3));
-            }
-            None => {
-                ctrl.send(&format!("err rank={rank} kind=rank_failed"));
-                return Ok(ExitCode::from(3));
-            }
+    match verdict {
+        Ok((scaled, seq, passed)) => {
+            ctrl.send(&format!(
+                "ok residual={scaled:.6e} seq_hash={seq:#018x} passed={}",
+                u8::from(passed)
+            ));
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(kind) => {
+            ctrl.send(&format!("err rank={} kind={kind}", spec.rank));
+            Ok(ExitCode::from(3))
         }
     }
-    let x = results[0].x.clone();
-    let cfg = &spec.cfg;
-    let res = Universe::run_with_transport(
-        env.ranks,
-        TransportSel::Inproc,
-        FabricOpts::default(),
-        |comm| {
-            let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-            verify(&grid, cfg.n, cfg.nb, cfg.seed, &x)
-        },
-    );
-    let res = match res.into_iter().next().expect("rank 0 result") {
-        Ok(r) => r,
-        Err(e) => {
-            ctrl.send(&format!("err rank=0 kind={}", e.kind()));
-            return Ok(ExitCode::from(3));
-        }
-    };
-    let traces: Vec<hpl_trace::Trace> = results
-        .iter_mut()
-        .map(|r| r.trace.take().expect("launch runs trace-enabled"))
-        .collect();
-    let seq = seq_hash(&traces);
-    let passed = res.scaled < spec.threshold;
-    ctrl.send(&format!(
-        "ok residual={:.6e} seq_hash={seq:#018x} passed={}",
-        res.scaled,
-        u8::from(passed)
-    ));
-    Ok(ExitCode::SUCCESS)
 }
 
-/// `--transport inproc --mxp`: the whole HPL-MxP job as threads of this
-/// child. The residual gate is computed inside the solve (at `f64`
-/// accuracy), so no separate verify pass runs.
-fn rank_body_inproc_mxp(
-    env: &RankEnv,
+/// The inproc job with a fault plan armed: a rank death or a structured
+/// error becomes the error kind; a clean run is verified in a fault-free
+/// universe. Yields (scaled residual, seq_hash, passed).
+fn inproc_faulted(
     spec: &ChildSpec,
-    ctrl: &CtrlLine,
-) -> Result<ExitCode, String> {
+    opts: &RunOpts,
+    inj: &Arc<Injector>,
+) -> Result<(f64, u64, bool), &'static str> {
     let cfg = &spec.cfg;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Universe::run_with_transport(
-            env.ranks,
-            TransportSel::Inproc,
-            FabricOpts::default(),
-            |comm| hpl_mxp::solve_mxp(comm, cfg),
-        )
-    }));
-    let run = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            ctrl.send(&format!("err rank={} kind=rank_failed", env.rank));
-            return Ok(ExitCode::from(3));
-        }
-    };
-    let mut results = Vec::with_capacity(env.ranks);
-    for (rank, r) in run.into_iter().enumerate() {
-        match r {
-            Ok(res) => results.push(res),
-            Err(e) => {
-                ctrl.send(&format!("err rank={rank} kind={}", e.kind()));
-                return Ok(ExitCode::from(3));
-            }
-        }
+    let (sel, inj) = (TransportSel::Inproc, Arc::clone(inj));
+    let run = Universe::run_with_injector(spec.ranks, sel, opts.fabric(), inj, |comm| {
+        run_hpl(comm, cfg)
+    });
+    if run.poison.is_some() {
+        return Err("rank_failed");
     }
+    let mut results = Vec::with_capacity(spec.ranks);
+    for r in run.results {
+        results.push(r.ok_or("rank_failed")?.map_err(|e| e.kind())?);
+    }
+    let x = &results[0].x;
+    let res = Universe::run_with_transport(spec.ranks, sel, opts.fabric(), |comm| {
+        let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
+        verify(&grid, cfg.n, cfg.nb, cfg.seed, x)
+    });
+    let res = res
+        .into_iter()
+        .next()
+        .expect("rank 0 result")
+        .map_err(|e| e.kind())?;
     let traces: Vec<hpl_trace::Trace> = results
         .iter_mut()
         .map(|r| r.trace.take().expect("launch runs trace-enabled"))
         .collect();
-    let seq = seq_hash(&traces);
-    let scaled = results[0].residuals.scaled;
-    let passed = scaled < spec.threshold;
-    ctrl.send(&format!(
-        "ok residual={scaled:.6e} seq_hash={seq:#018x} passed={}",
-        u8::from(passed)
-    ));
-    Ok(ExitCode::SUCCESS)
+    Ok((res.scaled, seq_hash(&traces), res.scaled < spec.threshold))
 }
 
 /// `--transport tcp`: this process is exactly one rank, wired to its peers
 /// by real frames.
 fn rank_body_tcp(
-    env: &RankEnv,
     spec: &ChildSpec,
+    opts: &RunOpts,
     ctrl: &CtrlLine,
     boot: TcpBootstrap,
     addrs: &[String],
     ctrl_reader: BufReader<TcpStream>,
 ) -> Result<ExitCode, String> {
-    let opts = FabricOpts {
+    let fab = FabricOpts {
         faults: spec.injector.clone(),
-        ..FabricOpts::default()
+        ..opts.fabric()
     };
-    let fabric = Fabric::remote(env.ranks, env.rank, opts);
+    let fabric = Fabric::remote(spec.ranks, spec.rank, fab);
     let peers: Vec<SocketAddr> = addrs
         .iter()
         .map(|a| a.parse().map_err(|e| format!("bad peer addr {a}: {e}")))
         .collect::<Result<_, String>>()?;
     let transport = boot
-        .connect(env.rank, &peers, fabric.frame_sink())
+        .connect(spec.rank, &peers, fabric.frame_sink())
         .map_err(|e| format!("wire tcp mesh: {e}"))?;
     fabric.attach_transport(transport);
 
@@ -963,74 +738,51 @@ fn rank_body_tcp(
         });
     }
 
-    let comm = Communicator::endpoint(Arc::clone(&fabric));
-    let cfg = spec.cfg.clone();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if spec.mxp {
-            hpl_mxp::solve_mxp(comm, &cfg).map(RankOutcome::Mxp)
+    // The solve, then the post-run collectives on fresh endpoints over the
+    // same fabric: verify (data plane, trace recorder already uninstalled;
+    // MxP is verified inside the solve at f64 accuracy) and the seq_words
+    // gather (control plane, invisible to stats either way).
+    let cfg = &spec.cfg;
+    let endpoint = || Communicator::endpoint(Arc::clone(&fabric));
+    let run = || -> Result<(f64, Option<u64>), rhpl_core::HplError> {
+        let (scaled, trace) = if opts.mxp {
+            let o = hpl_mxp::solve_mxp(endpoint(), cfg)?;
+            (o.residuals.scaled, o.trace)
         } else {
-            run_hpl(comm, &cfg).map(RankOutcome::Hpl)
-        }
-    }));
-    let result = match outcome {
-        Ok(Ok(r)) => r,
-        Ok(Err(e)) => {
-            ctrl.send(&format!("err rank={} kind={}", env.rank, e.kind()));
-            fabric.shutdown_transport();
-            return Ok(ExitCode::from(3));
-        }
-        Err(payload) => {
-            let phase = payload
-                .downcast_ref::<RankDeath>()
-                .map_or("panic", |d| d.phase.as_str());
-            fabric.poison(env.rank, phase);
-            ctrl.send(&format!("err rank={} kind=rank_failed", env.rank));
-            fabric.shutdown_transport();
-            return Ok(ExitCode::from(3));
-        }
-    };
-
-    // Post-run collectives on fresh endpoints over the same fabric: verify
-    // (data plane, trace recorder already uninstalled; MxP verified inside
-    // the solve at f64 accuracy, so only the classic path re-verifies) and
-    // the seq_words gather (control plane, invisible to stats either way).
-    let run_post = || -> Result<(f64, Option<u64>), rhpl_core::HplError> {
-        let (scaled, trace) = match &result {
-            RankOutcome::Hpl(r) => {
-                let comm = Communicator::endpoint(Arc::clone(&fabric));
-                let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-                let res = verify(&grid, cfg.n, cfg.nb, cfg.seed, &r.x)?;
-                (res.scaled, r.trace.as_ref())
-            }
-            RankOutcome::Mxp(o) => (o.residuals.scaled, o.trace.as_ref()),
+            let r = run_hpl(endpoint(), cfg)?;
+            let grid = Grid::new(endpoint(), cfg.p, cfg.q, cfg.order);
+            (
+                verify(&grid, cfg.n, cfg.nb, cfg.seed, &r.x)?.scaled,
+                r.trace,
+            )
         };
-        let words = seq_words(trace.expect("launch runs trace-enabled"));
-        let comm = Communicator::endpoint(Arc::clone(&fabric));
-        let seq = comm
-            .ctrl_gather_words(words)?
-            .map(|streams| seq_hash_streams(&streams));
-        Ok((scaled, seq))
+        let words = seq_words(trace.as_ref().expect("launch runs trace-enabled"));
+        let seq = endpoint().ctrl_gather_words(words)?;
+        Ok((scaled, seq.map(|streams| seq_hash_streams(&streams))))
     };
-    let code = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_post)) {
+    let code = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         Ok(Ok((scaled, seq))) => {
-            if env.rank == 0 {
+            if spec.rank == 0 {
                 let seq = seq.expect("rank 0 assembles the gathered hash");
                 ctrl.send(&format!(
                     "ok residual={scaled:.6e} seq_hash={seq:#018x} passed={}",
                     u8::from(scaled < spec.threshold)
                 ));
             } else {
-                ctrl.send(&format!("done rank={}", env.rank));
+                ctrl.send(&format!("done rank={}", spec.rank));
             }
             ExitCode::SUCCESS
         }
         Ok(Err(e)) => {
-            ctrl.send(&format!("err rank={} kind={}", env.rank, e.kind()));
+            ctrl.send(&format!("err rank={} kind={}", spec.rank, e.kind()));
             ExitCode::from(3)
         }
-        Err(_) => {
-            fabric.poison(env.rank, "verify");
-            ctrl.send(&format!("err rank={} kind=rank_failed", env.rank));
+        Err(payload) => {
+            let phase = payload
+                .downcast_ref::<RankDeath>()
+                .map_or("panic", |d| d.phase.as_str());
+            fabric.poison(spec.rank, phase);
+            ctrl.send(&format!("err rank={} kind=rank_failed", spec.rank));
             ExitCode::from(3)
         }
     };

@@ -6,6 +6,8 @@
 //! so existing HPL tooling and muscle memory work against this
 //! reproduction.
 //!
+//! * [`opts`] — the command line and `RHPL_*` variables, parsed once
+//!   into the [`opts::RunOpts`] every mode below receives.
 //! * [`dat`] — the `HPL.dat` parser.
 //! * [`runner`] — sweep expansion and execution.
 //! * [`report`] — classic output formatting.
@@ -28,11 +30,10 @@ pub mod bench;
 pub mod dat;
 pub mod faults;
 pub mod launch;
+pub mod opts;
 pub mod recover;
 pub mod report;
 pub mod runner;
 
 pub use dat::{parse, JobSpec, ParseError, SAMPLE};
-pub use runner::{
-    encode_tv, expand, run_one, run_one_element, run_one_mxp, run_one_traced, MxpStats, RunRecord,
-};
+pub use runner::{encode_tv, expand, run_one, MxpStats, RunRecord};

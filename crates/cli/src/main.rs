@@ -1,39 +1,12 @@
 //! `rhpl` — HPL.dat-driven benchmark runner.
 //!
-//! ```text
-//! rhpl [HPL.dat]              run the sweep described by the input file
-//! rhpl launch HPL.dat --ranks N --transport tcp|inproc
-//!                             one OS process per rank, supervised: rendezvous,
-//!                             heartbeats, rank-death detection; with
-//!                             --ckpt-every K also respawn + resume from the
-//!                             latest checkpoint (see rhpl_cli::launch)
-//! rhpl --sample               print a ready-to-edit sample HPL.dat
-//! rhpl ... --split-frac 0.5   split-update fraction (0 = look-ahead only)
-//! rhpl ... --threads 4        FACT threads per rank (SIII.A)
-//! rhpl ... --kernel simd      DGEMM microkernel: auto|scalar|simd
-//!                             (also settable via RHPL_KERNEL; the flag wins)
-//! rhpl ... --mxp              run the HPL-MxP benchmark: f32 factorization
-//!                             through the full pipeline, f64 refinement
-//!                             sweeps to double accuracy (classic HPL table
-//!                             plus the HPL-MxP summary block)
-//! rhpl ... --element f32      pipeline element type: f64|f32 (also settable
-//!                             via RHPL_ELEMENT; the flag wins). An f32 run
-//!                             is gated at f32 accuracy; --mxp is how f32
-//!                             factors earn the f64 gate
-//! rhpl ... --seed 42          matrix generator seed
-//! rhpl ... --trace-json BENCH_hpl.json   emit the per-iteration phase trace
-//! rhpl ... --fault SPEC       arm a fault (repeatable); SPEC grammar is
-//!                             kind[:param]@rank[:site][:nth][:sticky]
-//! rhpl ... --fault-seed S     fault plan seed (with no --fault: a random
-//!                             plan derived from the seed)
-//! rhpl ... --ckpt-every K     checkpoint the factorization every K panel
-//!                             iterations (0 = off); with faults armed this
-//!                             enables the restart supervisor
-//! rhpl ... --ckpt-dir PATH    keep checkpoints on disk under PATH instead
-//!                             of in memory
-//! rhpl ... --comm-timeout S   per-receive timeout in seconds (also
-//!                             settable via RHPL_COMM_TIMEOUT; the flag wins)
-//! ```
+//! `rhpl [HPL.dat]` runs the sweep an input file describes; `rhpl launch`
+//! runs its first combination with one supervised OS process per rank
+//! ([`rhpl_cli::launch`]); `rhpl --sample` prints a starting `HPL.dat`.
+//! Every flag and `RHPL_*` variable is listed by `rhpl --help`
+//! ([`rhpl_cli::opts::USAGE`]) and parsed once, by
+//! [`rhpl_cli::opts::RunOpts::parse`]: an unknown flag or a bad flag value
+//! exits 1, a bad variable exits 2.
 //!
 //! With any fault flag present the classic table is replaced by the
 //! machine-readable `HPLOK`/`HPLERROR` + `FAULTLOG` protocol (see
@@ -44,96 +17,36 @@
 
 use std::process::ExitCode;
 
-use rhpl_cli::{bench, dat, faults, launch, recover, report, runner};
-
-fn arg_value<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+use rhpl_cli::opts::{Mode, RunOpts, USAGE};
+use rhpl_cli::{bench, dat, launch, recover, report, runner};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Fabric knobs are read from the environment deep inside library code;
-    // reject garbage here with the typed message instead of a late panic.
-    if let Err(e) = hpl_comm::config::validate_env() {
-        eprintln!("rhpl: configuration error: {e}");
-        return ExitCode::from(2);
-    }
-    if args.iter().any(|a| a == "--sample") {
-        print!("{}", dat::SAMPLE);
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: rhpl [HPL.dat] [--split-frac F] [--threads T] [--seed S] \
-             [--kernel auto|scalar|simd] [--mxp] [--element f64|f32] \
-             [--trace-json PATH] [--fault SPEC]... \
-             [--fault-seed S] [--ckpt-every K] [--ckpt-dir PATH] \
-             [--comm-timeout SECS] [--sample]\n\
-             \x20      rhpl launch [HPL.dat] --ranks N [--transport inproc|tcp] \
-             [--ckpt-every K] [--ckpt-dir PATH] [--fault SPEC]...\n\
-             launch runs the first sweep combination with one OS process per \
-             rank under a supervisor (rendezvous, heartbeats, respawn+resume \
-             from checkpoints on rank death)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    // The timeout freezes per fabric at construction, so apply the override
-    // before any universe spins up.
-    if let Some(secs) = arg_value::<u64>(&args, "--comm-timeout") {
-        hpl_comm::set_comm_timeout(std::time::Duration::from_secs(secs));
-    }
-    // The DGEMM kernel freezes at first use, so resolve the flag before any
-    // linear algebra runs. Without the flag the RHPL_KERNEL env (or auto
-    // detection) decides.
-    if let Some(kernel) = arg_value::<String>(&args, "--kernel") {
-        match kernel.parse::<hpl_blas::KernelSel>() {
-            Ok(sel) => {
-                hpl_blas::kernels::select(sel);
-            }
-            Err(()) => {
-                eprintln!("rhpl: --kernel must be auto, scalar or simd (got {kernel})");
-                return ExitCode::FAILURE;
-            }
+    let opts = match RunOpts::parse(&args, &hpl_comm::config::process_env) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("rhpl: {e}");
+            return ExitCode::from(e.exit_code());
         }
-    }
-    // Element precision: the flag wins over RHPL_ELEMENT (whose value
-    // validate_env vetted above), default f64.
-    let element = match arg_value::<String>(&args, "--element") {
-        Some(elem) => match elem.parse::<hpl_blas::ElementSel>() {
-            Ok(sel) => sel,
-            Err(()) => {
-                eprintln!("rhpl: --element must be f64 or f32 (got {elem})");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => hpl_comm::config::env_element().expect("validated above"),
     };
-    let mxp = args.iter().any(|a| a == "--mxp");
-    // Multi-process modes: `launch` supervises one OS process per rank;
-    // `_rank` is the (internal) child entry point it spawns. Both sit after
-    // the global knob handling above so --comm-timeout and --kernel apply
-    // to children too.
-    match args.first().map(String::as_str) {
-        Some("launch") => return launch::run_launch(&args[1..]),
-        Some("_rank") => return launch::run_rank(&args[1..]),
-        _ => {}
+    // The DGEMM kernel freezes at first use, so resolve it before any
+    // linear algebra runs.
+    hpl_blas::kernels::select(opts.kernel);
+    match opts.mode {
+        Mode::Sample => {
+            print!("{}", dat::SAMPLE);
+            return ExitCode::SUCCESS;
+        }
+        Mode::Help => {
+            eprint!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Mode::Launch => return launch::run_launch(&opts),
+        Mode::Rank { .. } => return launch::run_rank(&opts),
+        Mode::Run => {}
     }
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && arg_is_positional(&args, a))
-        .cloned()
-        .unwrap_or_else(|| "HPL.dat".to_string());
-    let split_frac: f64 = arg_value(&args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(&args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(&args, "--seed").unwrap_or(42);
-    let trace_json: Option<String> = arg_value(&args, "--trace-json");
-    let ckpt_every: usize = arg_value(&args, "--ckpt-every").unwrap_or(0);
-    let ckpt_dir: Option<String> = arg_value(&args, "--ckpt-dir");
-
-    let text = match std::fs::read_to_string(&path) {
+    let path = &opts.path;
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("rhpl: cannot read {path}: {e}");
@@ -149,29 +62,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let combos = runner::expand(&spec, seed, split_frac, threads);
-    let fault_specs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--fault")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    if !fault_specs.is_empty() || args.iter().any(|a| a == "--fault-seed") {
-        if mxp {
-            eprintln!(
-                "rhpl: --mxp does not combine with --fault (fault soak runs the f64 pipeline)"
-            );
-            return ExitCode::FAILURE;
-        }
-        let fault_seed: u64 = arg_value(&args, "--fault-seed").unwrap_or(1);
-        return run_faulted(
-            &combos,
-            fault_seed,
-            &fault_specs,
-            spec.threshold,
-            ckpt_every,
-            ckpt_dir.as_deref(),
-        );
+    let combos = runner::expand(&spec, opts.seed, opts.split_frac, opts.threads);
+    if opts.faulted() {
+        return run_faulted(&combos, spec.threshold, &opts);
     }
     let max_ranks = combos.iter().map(|(c, _)| c.ranks()).max().unwrap_or(1);
     print!("{}", report::banner(max_ranks));
@@ -180,16 +73,16 @@ fn main() -> ExitCode {
     let total = combos.len();
     let mut records = Vec::with_capacity(total);
     for (mut cfg, depth) in combos {
-        if trace_json.is_some() {
+        if opts.trace_json.is_some() {
             cfg.trace = hpl_trace::TraceOpts::on();
         }
-        if ckpt_every > 0 {
+        if opts.ckpt_every > 0 {
             // Disk stores are re-opened (not wiped): a repeated invocation
             // after an interruption resumes from what the previous process
             // deposited. Each combination gets its own subdirectory.
-            let store = match &ckpt_dir {
+            let store = match &opts.ckpt_dir {
                 Some(dir) => {
-                    let sub = std::path::Path::new(dir).join(format!(
+                    let sub = dir.join(format!(
                         "{}-n{}-nb{}-{}x{}",
                         runner::encode_tv(&cfg, depth),
                         cfg.n,
@@ -208,17 +101,12 @@ fn main() -> ExitCode {
                 None => hpl_ckpt::CkptStore::mem(cfg.ranks()),
             };
             cfg.ckpt = rhpl_core::CkptOpts {
-                every: ckpt_every,
+                every: opts.ckpt_every,
                 store: Some(store),
                 resume: true,
             };
         }
-        let run = if mxp {
-            runner::run_one_mxp(&cfg, depth, spec.threshold)
-        } else {
-            runner::run_one_element(&cfg, depth, spec.threshold, element)
-        };
-        let rec = match run {
+        let rec = match runner::run_one(&cfg, depth, spec.threshold, &opts) {
             Ok(rec) => rec,
             Err(e) => {
                 eprintln!("rhpl: run failed: {e}");
@@ -232,8 +120,8 @@ fn main() -> ExitCode {
         records.push(rec);
     }
     print!("{}", report::footer(total, failed));
-    if let Some(path) = &trace_json {
-        if let Err(e) = bench::write_bench_json(&records, path) {
+    if let Some(path) = &opts.trace_json {
+        if let Err(e) = bench::write_bench_json(&records, path, &opts) {
             eprintln!("rhpl: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -252,11 +140,8 @@ fn main() -> ExitCode {
 /// structured failure, 1 for a wrong answer (`HPLBAD`) or a bad spec.
 fn run_faulted(
     combos: &[(rhpl_core::HplConfig, usize)],
-    fault_seed: u64,
-    fault_specs: &[String],
     threshold: f64,
-    ckpt_every: usize,
-    ckpt_dir: Option<&str>,
+    opts: &RunOpts,
 ) -> ExitCode {
     // Injected rank deaths unwind as panics; the default hook's backtraces
     // are nondeterministic noise next to the protocol lines. Outcomes are
@@ -266,23 +151,15 @@ fn run_faulted(
     let mut structured = false;
     let mut bad = false;
     for (i, (cfg, _depth)) in combos.iter().enumerate() {
-        let plan = if fault_specs.is_empty() {
-            hpl_faults::FaultPlan::from_seed(fault_seed, cfg.ranks())
-        } else {
-            match hpl_faults::FaultPlan::parse(fault_seed, fault_specs) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("rhpl: bad --fault spec: {e}");
-                    return ExitCode::FAILURE;
-                }
+        let plan = match opts.fault_plan(cfg.ranks(), false) {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("rhpl: {e}");
+                return ExitCode::FAILURE;
             }
         };
-        let out = if ckpt_every > 0 {
-            let dir = ckpt_dir.map(|d| std::path::Path::new(d).join(format!("combo{i}")));
-            recover::run_one_supervised(cfg, plan, threshold, ckpt_every, dir.as_deref())
-        } else {
-            faults::run_one_faulted(cfg, plan, threshold)
-        };
+        let dir = opts.ckpt_dir.as_ref().map(|d| d.join(format!("combo{i}")));
+        let out = recover::run_one_supervised(cfg, plan, threshold, dir.as_deref(), opts);
         print!("{}", out.block);
         if !out.ok() {
             if out.structured_error() {
@@ -298,14 +175,5 @@ fn run_faulted(
         ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// A positional arg is one not consumed as a `--key value` pair.
-fn arg_is_positional(args: &[String], a: &str) -> bool {
-    match args.iter().position(|x| x == a) {
-        Some(0) => true,
-        Some(i) => !args[i - 1].starts_with("--"),
-        None => false,
     }
 }

@@ -34,77 +34,86 @@ use hpl_faults::{FaultPlan, Injector};
 use rhpl_core::{run_hpl, CkptOpts, HplConfig};
 
 use crate::faults::{judge, write_faultlog, FaultOutcome};
+use crate::opts::RunOpts;
 
 /// Total attempt budget: the initial run plus up to two restarts. Sticky
 /// faults that out-live the budget surface as the final attempt's error.
 pub const MAX_ATTEMPTS: usize = 3;
 
-/// Runs one configuration under `plan` with checkpoint/restart supervision
-/// and formats its protocol block. `every` is the checkpoint cadence in
-/// panel iterations; `dir` selects the on-disk store (wiped first, so the
-/// soak is reproducible) over the default in-memory one.
+/// Runs one configuration under `plan` and formats its protocol block —
+/// the one entry point of fault mode. With `opts.ckpt_every == 0` there is
+/// nothing to restore from: one attempt, the plain fault-soak block of
+/// [`crate::faults`]. Otherwise the job checkpoints every `ckpt_every`
+/// panel iterations and is restarted on a structured failure; `dir`
+/// selects the on-disk store (wiped first, so the soak is reproducible)
+/// over the default in-memory one. Every attempt runs on `opts`' transport
+/// and fabric options.
 pub fn run_one_supervised(
     cfg: &HplConfig,
     plan: FaultPlan,
     threshold: f64,
-    every: usize,
     dir: Option<&Path>,
+    opts: &RunOpts,
 ) -> FaultOutcome {
+    let every = opts.ckpt_every;
     let nranks = cfg.ranks();
-    let store = match dir {
-        Some(d) => match CkptStore::disk_fresh(d, nranks) {
-            Ok(s) => s,
-            Err(e) => {
-                let line = format!("HPLBAD ckpt store: {e}");
-                return FaultOutcome {
-                    verdict: Err(line.clone()),
-                    block: format!("{line}\n"),
-                    recoveries: 0,
-                };
-            }
-        },
-        None => CkptStore::mem(nranks),
-    };
+    let (n, nb, p, q, seed) = (cfg.n, cfg.nb, cfg.p, cfg.q, cfg.seed);
+    let mut block = format!("FAULTRUN n={n} nb={nb} grid={p}x{q} seed={seed}");
     let mut run_cfg = cfg.clone();
-    run_cfg.ckpt = CkptOpts {
-        every,
-        store: Some(Arc::clone(&store)),
-        resume: true,
+    let (store, attempts) = if every == 0 {
+        (None, 1)
+    } else {
+        let store = match dir {
+            Some(d) => match CkptStore::disk_fresh(d, nranks) {
+                Ok(s) => s,
+                Err(e) => {
+                    let line = format!("HPLBAD ckpt store: {e}");
+                    return FaultOutcome {
+                        verdict: Err(line.clone()),
+                        block: format!("{line}\n"),
+                        recoveries: 0,
+                    };
+                }
+            },
+            None => CkptStore::mem(nranks),
+        };
+        run_cfg.ckpt = CkptOpts {
+            every,
+            store: Some(Arc::clone(&store)),
+            resume: true,
+        };
+        let _ = write!(block, " ckpt_every={every}");
+        (Some(store), MAX_ATTEMPTS)
     };
+    block.push('\n');
 
     let injector = Injector::new(plan, nranks);
-    let mut block = String::new();
-    let _ = writeln!(
-        block,
-        "FAULTRUN n={} nb={} grid={}x{} seed={} ckpt_every={every}",
-        cfg.n, cfg.nb, cfg.p, cfg.q, cfg.seed
-    );
 
     let mut repairs = vec![0u64; nranks];
     let mut recoveries = 0u64;
     let mut verdict: Result<f64, String> = Err("HPLBAD supervisor ran no attempts".to_string());
-    for attempt in 1..=MAX_ATTEMPTS {
-        let run = Universe::run_with_injector(nranks, Arc::clone(&injector), |comm| {
+    for attempt in 1..=attempts {
+        let inj = Arc::clone(&injector);
+        let run = Universe::run_with_injector(nranks, opts.transport, opts.fabric(), inj, |comm| {
             run_hpl(comm, &run_cfg)
         });
         for (acc, r) in repairs.iter_mut().zip(&run.abft_repairs) {
             *acc += r;
         }
-        verdict = judge(&run_cfg, &run, threshold);
+        verdict = judge(&run_cfg, &run, threshold, opts);
         match &verdict {
             Ok(residual) => {
                 let _ = writeln!(block, "HPLOK residual={residual:.6e}");
                 break;
             }
             // A structured failure with attempts left: restore and go again.
-            Err(line) if line.starts_with("HPLERROR") && attempt < MAX_ATTEMPTS => {
+            Err(line) if line.starts_with("HPLERROR") && attempt < attempts => {
                 recoveries += 1;
                 let kind = line
                     .split_whitespace()
                     .find_map(|t| t.strip_prefix("kind="))
                     .unwrap_or("unknown");
-                let gen = store
-                    .latest_complete()
+                let gen = (store.as_ref().and_then(|s| s.latest_complete()))
                     .map_or_else(|| "-".to_string(), |g| g.to_string());
                 let _ = writeln!(
                     block,
@@ -132,6 +141,14 @@ mod tests {
     use super::*;
     use hpl_faults::Site;
 
+    /// The test environment's settings with checkpoints every 2 panels.
+    fn every2() -> RunOpts {
+        RunOpts {
+            ckpt_every: 2,
+            ..crate::opts::from_process_env()
+        }
+    }
+
     fn cfg_2x2() -> HplConfig {
         let mut cfg = HplConfig::new(64, 8, 2, 2);
         cfg.seed = 42;
@@ -152,7 +169,7 @@ mod tests {
     #[test]
     fn one_shot_death_is_survived() {
         let cfg = cfg_2x2();
-        let out = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, 2, None);
+        let out = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, None, &every2());
         assert!(out.ok(), "{}", out.block);
         assert_eq!(out.recoveries, 1, "{}", out.block);
         assert!(
@@ -167,10 +184,10 @@ mod tests {
     #[test]
     fn supervised_blocks_are_byte_identical() {
         let cfg = cfg_2x2();
-        let a = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, 2, None);
-        let b = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, 2, None);
+        let a = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, None, &every2());
+        let b = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, None, &every2());
         assert!(a.ok(), "{}", a.block);
-        if hpl_comm::active_transport_name() == "inproc" {
+        if every2().transport == hpl_comm::TransportSel::Inproc {
             assert_eq!(a.block, b.block);
         } else {
             // The tcp transport propagates the injected death with
@@ -186,7 +203,7 @@ mod tests {
     fn sticky_death_exhausts_the_attempt_budget() {
         let cfg = cfg_2x2();
         let plan = FaultPlan::parse(1, &["death@1:send:4:sticky".to_string()]).expect("spec");
-        let out = run_one_supervised(&cfg, plan, 16.0, 2, None);
+        let out = run_one_supervised(&cfg, plan, 16.0, None, &every2());
         assert!(!out.ok());
         assert!(out.structured_error(), "{}", out.block);
         assert_eq!(out.recoveries as usize, MAX_ATTEMPTS - 1, "{}", out.block);
@@ -196,7 +213,7 @@ mod tests {
     fn disk_store_survives_a_death_too() {
         let dir = std::env::temp_dir().join(format!("rhpl-recover-test-{}", std::process::id()));
         let cfg = cfg_2x2();
-        let out = run_one_supervised(&cfg, death_plan(&cfg, 0, 0.5), 16.0, 2, Some(&dir));
+        let out = run_one_supervised(&cfg, death_plan(&cfg, 0, 0.5), 16.0, Some(&dir), &every2());
         assert!(out.ok(), "{}", out.block);
         assert_eq!(out.recoveries, 1, "{}", out.block);
         let _ = std::fs::remove_dir_all(&dir);

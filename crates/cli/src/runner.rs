@@ -9,6 +9,7 @@ use rhpl_core::{
 };
 
 use crate::dat::JobSpec;
+use crate::opts::RunOpts;
 
 /// Result of one benchmark combination.
 #[derive(Clone, Debug)]
@@ -139,50 +140,45 @@ pub fn expand(
     out
 }
 
-/// Runs one configuration and verifies it. Any rank's solve or
-/// verification failure propagates as the typed [`HplError`] so the
-/// caller (CLI driver, bench gate) keeps its recovery and reporting
-/// options instead of aborting the whole sweep.
-pub fn run_one(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunRecord, HplError> {
-    run_one_traced(cfg, depth, threshold)
-}
-
-/// [`run_one`], keeping each rank's phase trace in the record (traces are
-/// present only when `cfg.trace.enabled`; index = rank, the order
-/// `Universe::run` returns).
-pub fn run_one_traced(
+/// Runs one configuration and verifies it, as `opts` selects: the HPL-MxP
+/// benchmark under `--mxp`, else the classic pipeline in `opts.element`.
+/// Every universe uses `opts`' transport and fabric options. Any rank's
+/// solve or verification failure propagates as the typed [`HplError`] so
+/// the caller (CLI driver, bench gate) keeps its recovery and reporting
+/// options instead of aborting the whole sweep. Traces are kept in the
+/// record (present only when `cfg.trace.enabled`; index = rank).
+///
+/// Under [`ElementSel::F32`] the whole elimination runs in single
+/// precision and the residual gate scales by `f32::EPSILON` — the
+/// precision the answer actually carries (the classic `f64` gate would
+/// reject every f32 run; recovering double accuracy from f32 factors is
+/// what `--mxp` does).
+pub fn run_one(
     cfg: &HplConfig,
     depth: usize,
     threshold: f64,
+    opts: &RunOpts,
 ) -> Result<RunRecord, HplError> {
-    run_one_element(cfg, depth, threshold, ElementSel::F64)
-}
-
-/// [`run_one_traced`] with an explicit pipeline element. Under
-/// [`ElementSel::F32`] the whole elimination runs in single precision and
-/// the residual gate scales by `f32::EPSILON` — the precision the answer
-/// actually carries (the classic `f64` gate would reject every f32 run;
-/// recovering double accuracy from f32 factors is [`run_one_mxp`]'s job).
-pub fn run_one_element(
-    cfg: &HplConfig,
-    depth: usize,
-    threshold: f64,
-    elem: ElementSel,
-) -> Result<RunRecord, HplError> {
-    let results = Universe::run(cfg.ranks(), |comm| match elem {
-        ElementSel::F64 => run_hpl(comm, cfg),
-        ElementSel::F32 => {
-            let gen = MatGen::new(cfg.seed, cfg.n);
-            run_hpl_with_element::<f32>(comm, cfg, &|i, j| gen.entry(i, j))
-        }
-    });
+    if opts.mxp {
+        return run_one_mxp(cfg, depth, threshold, opts);
+    }
+    let elem = opts.element;
+    let (sel, fabric) = (opts.transport, opts.fabric());
+    let results =
+        Universe::run_with_transport(cfg.ranks(), sel, fabric.clone(), |comm| match elem {
+            ElementSel::F64 => run_hpl(comm, cfg),
+            ElementSel::F32 => {
+                let gen = MatGen::new(cfg.seed, cfg.n);
+                run_hpl_with_element::<f32>(comm, cfg, &|i, j| gen.entry(i, j))
+            }
+        });
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let x = results[0].x.clone();
     let eps = match elem {
         ElementSel::F64 => f64::EPSILON,
         ElementSel::F32 => f32::EPSILON as f64,
     };
-    let res = Universe::run(cfg.ranks(), |comm| {
+    let res = Universe::run_with_transport(cfg.ranks(), sel, fabric, |comm| {
         let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
         let gen = MatGen::new(cfg.seed, cfg.n);
         verify_with_eps(&grid, cfg.n, cfg.nb, &|i, j| gen.entry(i, j), &x, eps)
@@ -208,8 +204,16 @@ pub fn run_one_element(
 /// the full distributed pipeline, f64 refinement sweeps to double accuracy,
 /// judged by HPL's residual gate at `f64::EPSILON` (already computed inside
 /// [`hpl_mxp::solve_mxp`] — no separate verify pass needed).
-pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunRecord, HplError> {
-    let results = Universe::run(cfg.ranks(), |comm| hpl_mxp::solve_mxp(comm, cfg));
+fn run_one_mxp(
+    cfg: &HplConfig,
+    depth: usize,
+    threshold: f64,
+    opts: &RunOpts,
+) -> Result<RunRecord, HplError> {
+    let results =
+        Universe::run_with_transport(cfg.ranks(), opts.transport, opts.fabric(), |comm| {
+            hpl_mxp::solve_mxp(comm, cfg)
+        });
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let traces = results.iter_mut().filter_map(|r| r.trace.take()).collect();
     let r0 = &results[0];
@@ -261,7 +265,8 @@ mod tests {
         spec.ns = vec![96];
         spec.nbs = vec![16];
         let (cfg, depth) = expand(&spec, 42, 0.5, 1).remove(0);
-        let rec = run_one(&cfg, depth, spec.threshold).expect("clean run");
+        let opts = crate::opts::from_process_env();
+        let rec = run_one(&cfg, depth, spec.threshold, &opts).expect("clean run");
         assert!(rec.passed, "residual {}", rec.residual);
         assert!(rec.gflops > 0.0);
     }

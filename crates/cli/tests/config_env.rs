@@ -1,9 +1,11 @@
-//! End-to-end checks that garbage in the fabric and kernel environment
-//! knobs (`RHPL_MAILBOX`, `RHPL_MAILBOX_CAP`, `RHPL_TRANSPORT`,
-//! `RHPL_KERNEL`, `RHPL_ELEMENT`) is rejected by the `rhpl` binary *up
-//! front* with the typed configuration message and exit code 2 — not deep
-//! inside a universe as a panic. Each case spawns the real binary so the
-//! whole path (env → `validate_env` → stderr → exit code) is exercised.
+//! End-to-end checks that garbage in the environment knobs
+//! (`RHPL_MAILBOX`, `RHPL_MAILBOX_CAP`, `RHPL_TRANSPORT`, `RHPL_KERNEL`,
+//! `RHPL_ELEMENT`, `RHPL_COMM_TIMEOUT`) is rejected by the `rhpl` binary
+//! *up front* with the typed configuration message and exit code 2 — not
+//! deep inside a universe as a panic — and that a bad flag, flag value or
+//! unknown argument is a usage error with exit code 1. Each case spawns
+//! the real binary so the whole path (argv and env → `RunOpts::parse` →
+//! stderr → exit code) is exercised.
 
 use std::process::Command;
 
@@ -88,6 +90,14 @@ fn bad_element_is_a_typed_config_error() {
 }
 
 #[test]
+fn bad_comm_timeout_is_a_typed_config_error() {
+    let (code, stderr) = run_with_env("RHPL_COMM_TIMEOUT", "soon");
+    assert_eq!(code, 2, "config errors exit 2, stderr: {stderr}");
+    assert!(stderr.contains("RHPL_COMM_TIMEOUT"), "stderr: {stderr}");
+    assert!(stderr.contains("soon"), "stderr: {stderr}");
+}
+
+#[test]
 fn bad_element_flag_is_a_usage_error() {
     // The `--element` flag goes through the same parser as the env var but
     // is a usage error (exit 1), matching the other flags. It is resolved
@@ -117,6 +127,7 @@ fn valid_env_values_are_accepted() {
         ("RHPL_KERNEL", "simd"),
         ("RHPL_ELEMENT", "f64"),
         ("RHPL_ELEMENT", "f32"),
+        ("RHPL_COMM_TIMEOUT", "30"),
     ] {
         let (code, stderr) = run_with_env(var, value);
         assert_eq!(code, 0, "{var}={value} must be accepted, stderr: {stderr}");
@@ -152,4 +163,73 @@ fn launch_rejects_bad_arguments_cleanly() {
         .output()
         .expect("spawn rhpl");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// Unparsable flag values and unknown flags are usage errors (exit 1)
+/// whose message names the flag and the value — never a silent default.
+/// All of them are caught before the input file is read.
+#[test]
+fn bad_flag_values_and_unknown_flags_are_usage_errors() {
+    for (args, flag, value) in [
+        (&["--seed", "abc"][..], "--seed", "abc"),
+        (&["--threads", "abc"], "--threads", "abc"),
+        (&["--split-frac", "x"], "--split-frac", "x"),
+        (&["--ckpt-every", "-1"], "--ckpt-every", "-1"),
+        (&["--comm-timeout", "1s"], "--comm-timeout", "1s"),
+        (
+            &["launch", "--ranks", "2", "--seed", "abc"],
+            "--seed",
+            "abc",
+        ),
+        (
+            &["s.dat", "--trace-jsn", "out.json"],
+            "--trace-jsn",
+            "--trace-jsn",
+        ),
+    ] {
+        let out = rhpl().args(args).output().expect("spawn rhpl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}, stderr: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "{args:?} must name {flag} and {value}, stderr: {stderr}"
+        );
+    }
+}
+
+/// `rhpl launch` runs the f64 pipeline (or HPL-MxP under `--mxp`): an f32
+/// element request is refused and points at `--mxp` — exit 1 from the
+/// flag, exit 2 from the environment.
+#[test]
+fn launch_rejects_an_f32_element() {
+    let out = rhpl()
+        .args(["launch", "--ranks", "2", "--element", "f32"])
+        .output()
+        .expect("spawn rhpl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--mxp"), "stderr: {stderr}");
+
+    let out = rhpl()
+        .args(["launch", "--ranks", "2"])
+        .env("RHPL_ELEMENT", "f32")
+        .output()
+        .expect("spawn rhpl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("RHPL_ELEMENT"), "stderr: {stderr}");
+    assert!(stderr.contains("--mxp"), "stderr: {stderr}");
+}
+
+/// A launched job writes no phase trace yet, so `--trace-json` is refused
+/// rather than accepted and ignored.
+#[test]
+fn launch_rejects_trace_json() {
+    let out = rhpl()
+        .args(["launch", "--ranks", "2", "--trace-json", "out.json"])
+        .output()
+        .expect("spawn rhpl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--trace-json"), "stderr: {stderr}");
 }

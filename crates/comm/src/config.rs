@@ -1,16 +1,20 @@
-//! Checked environment/config parsing for the fabric boundary.
+//! Checked parsing of the runtime's `RHPL_*` environment knobs.
 //!
-//! Every knob the runtime reads from the environment (`RHPL_MAILBOX`,
-//! `RHPL_MAILBOX_CAP`, `RHPL_TRANSPORT`, `RHPL_KERNEL`, `RHPL_ELEMENT`)
-//! parses through this module, so an invalid value surfaces as a typed
-//! [`ConfigError`] carrying the offending text and what was expected —
-//! never a silent fallback to a default that would make a benchmark
-//! unattributable, and never a bare parse panic.
+//! Every variable the runtime reads is one row of a table — [`MAILBOX`],
+//! [`MAILBOX_CAP`], [`TRANSPORT`], [`KERNEL`], [`ELEMENT`] and
+//! [`COMM_TIMEOUT`] — and [`EnvConfig::read`] reads them all through one
+//! lookup function. An invalid value surfaces as a typed [`ConfigError`]
+//! carrying the offending text and what was expected: never a silent
+//! fallback to a default that would make a benchmark unattributable, and
+//! never a bare parse panic.
 //!
-//! The CLI calls [`validate_env`] before doing any work and turns an error
-//! into a clean exit; library entry points that cannot return an error
-//! (fabric construction, kernel resolution) fail fast with the same
-//! message.
+//! The CLI reads the table once, at its edge, and passes the resolved
+//! values down explicitly. Library entry points that take no options
+//! (`Universe::run`, `Fabric::new`) read the environment afresh when they
+//! build a fabric — nothing is cached per process — and fail fast with
+//! the same message on an invalid value.
+
+use std::time::Duration;
 
 use crate::fabric::MailboxSel;
 use crate::transport::TransportSel;
@@ -39,106 +43,135 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses a `RHPL_MAILBOX` value (`auto` | `mutex` | `lockfree`).
-pub fn parse_mailbox(value: &str) -> Result<MailboxSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_MAILBOX",
-        value: value.to_owned(),
-        expected: "one of auto, mutex, lockfree",
-    })
+/// One row of the knob table: a variable, the values it accepts, and the
+/// parser shared by the variable and its command-line flag.
+pub struct Var<T> {
+    /// The environment variable.
+    pub name: &'static str,
+    /// The accepted values, as shown in error messages.
+    pub expected: &'static str,
+    parse: fn(&str) -> Option<T>,
 }
 
-/// Parses a `RHPL_MAILBOX_CAP` value (a positive ring capacity).
-pub fn parse_mailbox_cap(value: &str) -> Result<usize, ConfigError> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&c| c > 0)
-        .ok_or_else(|| ConfigError {
-            var: "RHPL_MAILBOX_CAP",
+impl<T> Var<T> {
+    /// Parses `value` as this knob's setting.
+    pub fn parse(&self, value: &str) -> Result<T, ConfigError> {
+        (self.parse)(value).ok_or_else(|| ConfigError {
+            var: self.name,
             value: value.to_owned(),
-            expected: "a positive integer ring capacity",
+            expected: self.expected,
         })
-}
+    }
 
-/// Parses a `RHPL_TRANSPORT` value (`inproc` | `tcp`).
-pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_TRANSPORT",
-        value: value.to_owned(),
-        expected: "one of inproc, tcp",
-    })
-}
-
-/// Parses a `RHPL_KERNEL` value (`auto` | `scalar` | `simd`).
-pub fn parse_kernel(value: &str) -> Result<KernelSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_KERNEL",
-        value: value.to_owned(),
-        expected: "one of auto, scalar, simd",
-    })
-}
-
-/// Parses a `RHPL_ELEMENT` value (`f64` | `f32`).
-pub fn parse_element(value: &str) -> Result<ElementSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_ELEMENT",
-        value: value.to_owned(),
-        expected: "one of f64, f32",
-    })
-}
-
-/// `RHPL_MAILBOX` from the environment; unset means [`MailboxSel::Auto`].
-pub fn env_mailbox() -> Result<MailboxSel, ConfigError> {
-    match std::env::var("RHPL_MAILBOX") {
-        Ok(v) => parse_mailbox(&v),
-        Err(_) => Ok(MailboxSel::Auto),
+    /// Reads this knob through `lookup`; `Ok(None)` when it is unset.
+    pub fn read(&self, lookup: &dyn Fn(&str) -> Option<String>) -> Result<Option<T>, ConfigError> {
+        lookup(self.name).map(|v| self.parse(&v)).transpose()
     }
 }
 
-/// `RHPL_MAILBOX_CAP` from the environment; unset means the built-in
-/// default capacity.
-pub fn env_mailbox_cap() -> Result<Option<usize>, ConfigError> {
-    match std::env::var("RHPL_MAILBOX_CAP") {
-        Ok(v) => parse_mailbox_cap(&v).map(Some),
-        Err(_) => Ok(None),
+/// `RHPL_MAILBOX`: `auto` | `mutex` | `lockfree` (`auto` is `lockfree`).
+pub const MAILBOX: Var<MailboxSel> = Var {
+    name: "RHPL_MAILBOX",
+    expected: "one of auto, mutex, lockfree",
+    parse: |s| match s.parse() {
+        Ok(MailboxSel::Mutex) => Some(MailboxSel::Mutex),
+        Ok(_) => Some(MailboxSel::Lockfree),
+        Err(()) => None,
+    },
+};
+
+/// `RHPL_MAILBOX_CAP`: a positive SPSC ring capacity.
+pub const MAILBOX_CAP: Var<usize> = Var {
+    name: "RHPL_MAILBOX_CAP",
+    expected: "a positive integer ring capacity",
+    parse: |s| s.parse().ok().filter(|&c| c > 0),
+};
+
+/// `RHPL_TRANSPORT`: `inproc` | `tcp`.
+pub const TRANSPORT: Var<TransportSel> = Var {
+    name: "RHPL_TRANSPORT",
+    expected: "one of inproc, tcp",
+    parse: |s| s.parse().ok(),
+};
+
+/// `RHPL_KERNEL`: `auto` | `scalar` | `simd`.
+pub const KERNEL: Var<KernelSel> = Var {
+    name: "RHPL_KERNEL",
+    expected: "one of auto, scalar, simd",
+    parse: |s| s.parse().ok(),
+};
+
+/// `RHPL_ELEMENT`: `f64` | `f32`.
+pub const ELEMENT: Var<ElementSel> = Var {
+    name: "RHPL_ELEMENT",
+    expected: "one of f64, f32",
+    parse: |s| s.parse().ok(),
+};
+
+/// `RHPL_COMM_TIMEOUT`: whole seconds, clamped to at least 1 s (a shorter
+/// timeout would race the fabric's 100 ms poison-poll step).
+pub const COMM_TIMEOUT: Var<Duration> = Var {
+    name: "RHPL_COMM_TIMEOUT",
+    expected: "a whole number of seconds",
+    parse: |s| {
+        s.parse()
+            .ok()
+            .map(|secs: u64| Duration::from_secs(secs.max(1)))
+    },
+};
+
+/// Every `RHPL_*` knob, parsed; `None` where the variable is unset.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EnvConfig {
+    /// `RHPL_MAILBOX` (never `Auto`: `auto` parses as `Lockfree`).
+    pub mailbox: Option<MailboxSel>,
+    /// `RHPL_MAILBOX_CAP`.
+    pub mailbox_cap: Option<usize>,
+    /// `RHPL_TRANSPORT`.
+    pub transport: Option<TransportSel>,
+    /// `RHPL_KERNEL`.
+    pub kernel: Option<KernelSel>,
+    /// `RHPL_ELEMENT`.
+    pub element: Option<ElementSel>,
+    /// `RHPL_COMM_TIMEOUT`.
+    pub comm_timeout: Option<Duration>,
+}
+
+impl EnvConfig {
+    /// Reads the whole table through `lookup` (the process environment is
+    /// [`process_env`]; tests inject a map). The first invalid value wins.
+    pub fn read(lookup: &dyn Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
+        Ok(Self {
+            mailbox: MAILBOX.read(lookup)?,
+            mailbox_cap: MAILBOX_CAP.read(lookup)?,
+            transport: TRANSPORT.read(lookup)?,
+            kernel: KERNEL.read(lookup)?,
+            element: ELEMENT.read(lookup)?,
+            comm_timeout: COMM_TIMEOUT.read(lookup)?,
+        })
     }
 }
 
-/// `RHPL_TRANSPORT` from the environment; unset means
-/// [`TransportSel::Inproc`].
-pub fn env_transport() -> Result<TransportSel, ConfigError> {
-    match std::env::var("RHPL_TRANSPORT") {
-        Ok(v) => parse_transport(&v),
-        Err(_) => Ok(TransportSel::Inproc),
-    }
+/// Looks `var` up in the process environment (unset or non-UTF-8: `None`).
+pub fn process_env(var: &str) -> Option<String> {
+    std::env::var(var).ok()
 }
 
-/// `RHPL_KERNEL` from the environment; unset means [`KernelSel::Auto`].
-pub fn env_kernel() -> Result<KernelSel, ConfigError> {
-    match std::env::var("RHPL_KERNEL") {
-        Ok(v) => parse_kernel(&v),
-        Err(_) => Ok(KernelSel::Auto),
-    }
-}
-
-/// `RHPL_ELEMENT` from the environment; unset means [`ElementSel::F64`].
-pub fn env_element() -> Result<ElementSel, ConfigError> {
-    match std::env::var("RHPL_ELEMENT") {
-        Ok(v) => parse_element(&v),
-        Err(_) => Ok(ElementSel::F64),
-    }
-}
-
-/// Validates every runtime environment knob at once — the CLI's pre-flight
-/// check, so a typo'd variable fails the run before any process spawns.
+/// Validates every runtime environment knob at once — a pre-flight check,
+/// so a typo'd variable fails the run before any process spawns.
 pub fn validate_env() -> Result<(), ConfigError> {
-    env_mailbox()?;
-    env_mailbox_cap()?;
-    env_transport()?;
-    env_kernel()?;
-    env_element()?;
-    Ok(())
+    EnvConfig::read(&process_env).map(drop)
+}
+
+/// The process environment as library entry points see it: read afresh on
+/// every call. An invalid value fails fast rather than silently falling
+/// back — the CLI reports the same error as a clean exit before any fabric
+/// is built.
+pub(crate) fn env() -> EnvConfig {
+    EnvConfig::read(&process_env).unwrap_or_else(|e| {
+        // xtask-allow: no-panic, error-taxonomy — config fail-fast
+        panic!("{e}")
+    })
 }
 
 #[cfg(test)]
@@ -147,9 +180,10 @@ mod tests {
 
     #[test]
     fn mailbox_values_parse_and_bad_ones_carry_the_offender() {
-        assert_eq!(parse_mailbox("mutex"), Ok(MailboxSel::Mutex));
-        assert_eq!(parse_mailbox("Lockfree"), Ok(MailboxSel::Lockfree));
-        let err = parse_mailbox("spinlock").unwrap_err();
+        assert_eq!(MAILBOX.parse("mutex"), Ok(MailboxSel::Mutex));
+        assert_eq!(MAILBOX.parse("Lockfree"), Ok(MailboxSel::Lockfree));
+        assert_eq!(MAILBOX.parse("auto"), Ok(MailboxSel::Lockfree));
+        let err = MAILBOX.parse("spinlock").unwrap_err();
         assert_eq!(err.var, "RHPL_MAILBOX");
         assert_eq!(err.value, "spinlock");
         let shown = err.to_string();
@@ -166,10 +200,10 @@ mod tests {
 
     #[test]
     fn mailbox_cap_rejects_zero_negative_and_garbage() {
-        assert_eq!(parse_mailbox_cap("64"), Ok(64));
-        assert_eq!(parse_mailbox_cap("1"), Ok(1));
+        assert_eq!(MAILBOX_CAP.parse("64"), Ok(64));
+        assert_eq!(MAILBOX_CAP.parse("1"), Ok(1));
         for bad in ["0", "-3", "lots", "", "4.5"] {
-            let err = parse_mailbox_cap(bad).unwrap_err();
+            let err = MAILBOX_CAP.parse(bad).unwrap_err();
             assert_eq!(err.var, "RHPL_MAILBOX_CAP");
             assert_eq!(err.value, bad);
         }
@@ -177,10 +211,10 @@ mod tests {
 
     #[test]
     fn kernel_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_kernel("auto"), Ok(KernelSel::Auto));
-        assert_eq!(parse_kernel("scalar"), Ok(KernelSel::Scalar));
-        assert_eq!(parse_kernel("simd"), Ok(KernelSel::Simd));
-        let err = parse_kernel("avx512").unwrap_err();
+        assert_eq!(KERNEL.parse("auto"), Ok(KernelSel::Auto));
+        assert_eq!(KERNEL.parse("scalar"), Ok(KernelSel::Scalar));
+        assert_eq!(KERNEL.parse("simd"), Ok(KernelSel::Simd));
+        let err = KERNEL.parse("avx512").unwrap_err();
         assert_eq!(err.var, "RHPL_KERNEL");
         assert_eq!(err.value, "avx512");
         let shown = err.to_string();
@@ -190,10 +224,10 @@ mod tests {
 
     #[test]
     fn element_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_element("f64"), Ok(ElementSel::F64));
-        assert_eq!(parse_element("f32"), Ok(ElementSel::F32));
+        assert_eq!(ELEMENT.parse("f64"), Ok(ElementSel::F64));
+        assert_eq!(ELEMENT.parse("f32"), Ok(ElementSel::F32));
         for bad in ["f16", "double", "single", ""] {
-            let err = parse_element(bad).unwrap_err();
+            let err = ELEMENT.parse(bad).unwrap_err();
             assert_eq!(err.var, "RHPL_ELEMENT");
             assert_eq!(err.value, bad);
             assert!(err.to_string().contains("f64, f32"));
@@ -202,13 +236,39 @@ mod tests {
 
     #[test]
     fn transport_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_transport("TCP"), Ok(TransportSel::Tcp));
-        assert_eq!(parse_transport("inproc"), Ok(TransportSel::Inproc));
+        assert_eq!(TRANSPORT.parse("TCP"), Ok(TransportSel::Tcp));
+        assert_eq!(TRANSPORT.parse("inproc"), Ok(TransportSel::Inproc));
         for bad in ["mpi", "shm"] {
-            let err = parse_transport(bad).unwrap_err();
+            let err = TRANSPORT.parse(bad).unwrap_err();
             assert_eq!(err.var, "RHPL_TRANSPORT");
             assert_eq!(err.value, bad);
             assert!(err.to_string().contains("inproc, tcp"));
         }
+    }
+
+    #[test]
+    fn comm_timeout_is_whole_seconds_clamped_to_one() {
+        assert_eq!(COMM_TIMEOUT.parse("30"), Ok(Duration::from_secs(30)));
+        assert_eq!(COMM_TIMEOUT.parse("0"), Ok(Duration::from_secs(1)));
+        for bad in ["soon", "1s", "-1", "", "2.5"] {
+            let err = COMM_TIMEOUT.parse(bad).unwrap_err();
+            assert_eq!(err.var, "RHPL_COMM_TIMEOUT");
+            assert_eq!(err.value, bad);
+        }
+    }
+
+    #[test]
+    fn read_takes_every_row_through_one_lookup() {
+        let env = |k: &str| match k {
+            "RHPL_MAILBOX" => Some("mutex".to_string()),
+            "RHPL_COMM_TIMEOUT" => Some("7".to_string()),
+            _ => None,
+        };
+        let cfg = EnvConfig::read(&env).expect("valid");
+        assert_eq!(cfg.mailbox, Some(MailboxSel::Mutex));
+        assert_eq!(cfg.comm_timeout, Some(Duration::from_secs(7)));
+        assert_eq!(cfg.transport, None);
+        let bad = |k: &str| (k == "RHPL_COMM_TIMEOUT").then(|| "soon".to_string());
+        assert_eq!(EnvConfig::read(&bad).unwrap_err().var, "RHPL_COMM_TIMEOUT");
     }
 }

@@ -77,8 +77,8 @@ type Boxed = Box<dyn Any + Send>;
 /// the `mailbox-matrix` job and `tests/mailbox_determinism.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MailboxSel {
-    /// Resolve from `RHPL_MAILBOX` (`lockfree` | `mutex` | `auto`; unset
-    /// or unrecognized means `lockfree`).
+    /// Resolve from `RHPL_MAILBOX` when the fabric is built (`lockfree` |
+    /// `mutex` | `auto`; unset means `lockfree`).
     #[default]
     Auto,
     /// The original mutex+condvar mailbox (determinism oracle).
@@ -101,43 +101,25 @@ impl std::str::FromStr for MailboxSel {
 }
 
 impl MailboxSel {
-    /// Resolves `Auto` against the environment (read once per process).
-    fn resolve(self) -> MailboxSel {
+    /// Display name of the implementation this selection runs (`Auto`
+    /// runs the lock-free ring): `"mutex"` or `"lockfree"`.
+    pub fn name(self) -> &'static str {
         match self {
-            MailboxSel::Auto => *env_mailbox(),
-            other => other,
+            MailboxSel::Mutex => "mutex",
+            MailboxSel::Auto | MailboxSel::Lockfree => "lockfree",
         }
     }
 }
 
 /// Name of the mailbox implementation env-constructed fabrics resolve to
-/// ("mutex" / "lockfree") — what a plain [`Universe::run`] will use. Run
-/// reports record it next to the kernel name so a `BENCH_hpl.json` is
-/// attributable to the implementation that produced it.
+/// ("mutex" / "lockfree") — what a plain [`Universe::run`] will use, read
+/// from `RHPL_MAILBOX` now. Run reports record it next to the kernel name
+/// so a `BENCH_hpl.json` is attributable to the implementation that
+/// produced it.
 ///
 /// [`Universe::run`]: crate::universe::Universe::run
 pub fn active_mailbox_name() -> &'static str {
-    match env_mailbox() {
-        MailboxSel::Mutex => "mutex",
-        _ => "lockfree",
-    }
-}
-
-fn env_mailbox() -> &'static MailboxSel {
-    static SEL: std::sync::OnceLock<MailboxSel> = std::sync::OnceLock::new();
-    SEL.get_or_init(|| {
-        let sel = crate::config::env_mailbox().unwrap_or_else(|e| {
-            // Fail fast on an invalid value rather than silently falling
-            // back: the CLI pre-validates the environment and reports this
-            // as a typed config error before any fabric is constructed.
-            // xtask-allow: no-panic, error-taxonomy — config fail-fast
-            panic!("{e}")
-        });
-        match sel {
-            MailboxSel::Mutex => MailboxSel::Mutex,
-            _ => MailboxSel::Lockfree,
-        }
-    })
+    crate::config::env().mailbox.unwrap_or_default().name()
 }
 
 /// Default SPSC ring capacity per `(src, dst)` pair; deep enough that the
@@ -146,17 +128,12 @@ fn env_mailbox() -> &'static MailboxSel {
 /// [`FabricOpts::mailbox_cap`]) overrides it — the spill lane makes any
 /// capacity correct, so tiny values are used by tests to force the
 /// overflow path.
-const DEFAULT_RING_CAP: usize = 64;
+pub const DEFAULT_RING_CAP: usize = 64;
 
-fn env_ring_cap() -> usize {
-    crate::config::env_mailbox_cap()
-        .unwrap_or_else(|e| {
-            // Same fail-fast contract as `env_mailbox` above.
-            // xtask-allow: no-panic, error-taxonomy — config fail-fast
-            panic!("{e}")
-        })
-        .unwrap_or(DEFAULT_RING_CAP)
-}
+/// How long a `recv` waits before declaring the run deadlocked, unless
+/// `--comm-timeout`, `RHPL_COMM_TIMEOUT` or [`FabricOpts::timeout`] says
+/// otherwise.
+pub const DEFAULT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
 
 #[derive(Default)]
 struct MailboxInner {
@@ -228,38 +205,6 @@ impl MailboxImpl {
             MailboxImpl::Lockfree(m) => m.is_empty(),
         }
     }
-}
-
-/// Process-wide timeout override installed by [`set_comm_timeout`].
-static TIMEOUT_OVERRIDE: std::sync::OnceLock<std::time::Duration> = std::sync::OnceLock::new();
-
-/// Installs a process-wide receive timeout (the CLI's `--comm-timeout`
-/// flag). Takes precedence over both environment variables; first call
-/// wins, later calls are ignored (returns whether this call installed it).
-pub fn set_comm_timeout(timeout: std::time::Duration) -> bool {
-    TIMEOUT_OVERRIDE.set(timeout.max(MIN_TIMEOUT)).is_ok()
-}
-
-/// Floor applied to every timeout source: sub-second timeouts would race
-/// the 100 ms poison-poll step.
-const MIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
-
-/// How long a `recv` waits before declaring the run deadlocked. Resolution
-/// order: [`set_comm_timeout`] override, then `RHPL_COMM_TIMEOUT` (seconds),
-/// then the 120 s default. The environment is read once per process.
-pub fn recv_timeout() -> std::time::Duration {
-    use std::sync::OnceLock;
-    if let Some(t) = TIMEOUT_OVERRIDE.get() {
-        return *t;
-    }
-    static T: OnceLock<std::time::Duration> = OnceLock::new();
-    *T.get_or_init(|| {
-        let secs = std::env::var("RHPL_COMM_TIMEOUT")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(120);
-        std::time::Duration::from_secs(secs).max(MIN_TIMEOUT)
-    })
 }
 
 /// Bounded-exponential-backoff schedule for blocked receives and
@@ -451,8 +396,8 @@ pub struct Fabric {
     barrier_cv: Condvar,
     poison: Arc<Poison>,
     faults: Option<Arc<hpl_faults::Injector>>,
-    /// Per-fabric receive-timeout override; falls back to [`recv_timeout`].
-    timeout: Option<std::time::Duration>,
+    /// Receive timeout in force (inherited by sub-fabrics).
+    timeout: std::time::Duration,
     retry: RetryPolicy,
     counters: Arc<RecoveryCounters>,
     /// Resolved mailbox implementation (never `Auto` after `build`),
@@ -536,8 +481,8 @@ const WAIT_STEP: std::time::Duration = std::time::Duration::from_millis(100);
 pub struct FabricOpts {
     /// Armed fault injector, if any.
     pub faults: Option<Arc<hpl_faults::Injector>>,
-    /// Receive timeout for this fabric; `None` uses the process-wide
-    /// [`recv_timeout`] resolution.
+    /// Receive timeout for this fabric; `None` reads `RHPL_COMM_TIMEOUT`
+    /// at construction, falling back to [`DEFAULT_TIMEOUT`].
     pub timeout: Option<std::time::Duration>,
     /// Backoff schedule for blocked receives and drop-retransmit recovery.
     pub retry: RetryPolicy,
@@ -545,30 +490,20 @@ pub struct FabricOpts {
     /// explicit value lets one process host both implementations — the
     /// determinism tests compare them side by side.
     pub mailbox: MailboxSel,
-    /// SPSC ring capacity override; `None` uses `RHPL_MAILBOX_CAP` or the
-    /// built-in default. Tests pass tiny values to force the spill lane.
+    /// SPSC ring capacity; `None` reads `RHPL_MAILBOX_CAP` at construction,
+    /// falling back to [`DEFAULT_RING_CAP`]. Tests pass tiny values to
+    /// force the spill lane.
     pub mailbox_cap: Option<usize>,
 }
 
 impl Fabric {
     /// Creates a fabric connecting `size` ranks.
     pub fn new(size: usize) -> Arc<Self> {
-        Self::new_with_faults(size, None)
+        Self::new_with_opts(size, FabricOpts::default())
     }
 
-    /// Creates a fabric with an armed fault injector (see [`hpl_faults`]).
-    pub fn new_with_faults(size: usize, faults: Option<Arc<hpl_faults::Injector>>) -> Arc<Self> {
-        Self::new_with_opts(
-            size,
-            FabricOpts {
-                faults,
-                ..FabricOpts::default()
-            },
-        )
-    }
-
-    /// Creates a fabric with explicit robustness options (timeout, retry
-    /// policy, fault injector).
+    /// Creates a fabric with explicit options (fault injector, timeout,
+    /// retry policy, mailbox).
     pub fn new_with_opts(size: usize, opts: FabricOpts) -> Arc<Self> {
         Self::build(
             size,
@@ -672,7 +607,7 @@ impl Fabric {
             size,
             FabricOpts {
                 faults: self.faults.clone(),
-                timeout: self.timeout,
+                timeout: Some(self.timeout),
                 retry: self.retry,
                 mailbox: self.mailbox,
                 mailbox_cap: Some(self.ring_cap),
@@ -690,15 +625,27 @@ impl Fabric {
         counters: Arc<RecoveryCounters>,
         remote: Option<RemoteCtx>,
     ) -> Arc<Self> {
-        let mailbox = opts.mailbox.resolve();
-        let ring_cap = opts.mailbox_cap.unwrap_or_else(env_ring_cap);
+        // Whatever the caller left unset comes from the environment, read
+        // now (a sub-fabric inherits resolved values and reads nothing).
+        let env = (opts.mailbox == MailboxSel::Auto
+            || opts.mailbox_cap.is_none()
+            || opts.timeout.is_none())
+        .then(crate::config::env)
+        .unwrap_or_default();
+        let mailbox = match opts.mailbox {
+            MailboxSel::Auto => env.mailbox.unwrap_or(MailboxSel::Lockfree),
+            sel => sel,
+        };
+        let ring_cap = opts
+            .mailbox_cap
+            .or(env.mailbox_cap)
+            .unwrap_or(DEFAULT_RING_CAP);
+        let timeout = opts.timeout.or(env.comm_timeout).unwrap_or(DEFAULT_TIMEOUT);
         Arc::new(Self {
             boxes: (0..size)
                 .map(|_| match mailbox {
-                    MailboxSel::Lockfree | MailboxSel::Auto => {
-                        MailboxImpl::Lockfree(LockfreeMailbox::new(size, ring_cap))
-                    }
                     MailboxSel::Mutex => MailboxImpl::Mutex(MutexMailbox::new()),
+                    _ => MailboxImpl::Lockfree(LockfreeMailbox::new(size, ring_cap)),
                 })
                 .collect(),
             stats: (0..size).map(|_| CommStats::default()).collect(),
@@ -706,7 +653,7 @@ impl Fabric {
             barrier_cv: Condvar::new(),
             poison,
             faults: opts.faults,
-            timeout: opts.timeout,
+            timeout,
             retry: opts.retry,
             counters,
             mailbox,
@@ -733,11 +680,6 @@ impl Fabric {
     /// This job's recovery observability counters (shared with sub-fabrics).
     pub fn counters(&self) -> &RecoveryCounters {
         &self.counters
-    }
-
-    /// The receive timeout in force on this fabric.
-    pub fn effective_timeout(&self) -> std::time::Duration {
-        self.timeout.unwrap_or_else(recv_timeout)
     }
 
     /// Marks the job as having lost `rank` during `phase` and wakes every
@@ -1012,8 +954,8 @@ impl Fabric {
     /// matching message shows up, and with [`CommError::Timeout`] — carrying
     /// the mailbox's pending `(src, tag)` keys — once the [`RetryPolicy`]
     /// backoff ladder has cumulatively waited past the receive timeout
-    /// ([`recv_timeout`]: default 120 s, `--comm-timeout` /
-    /// `RHPL_COMM_TIMEOUT` or [`FabricOpts::timeout`] to override).
+    /// ([`DEFAULT_TIMEOUT`]; `--comm-timeout`, `RHPL_COMM_TIMEOUT` or
+    /// [`FabricOpts::timeout`] to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
     pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
@@ -1054,7 +996,7 @@ impl Fabric {
         let mut g = mbox.inner.lock();
         let mut waited = std::time::Duration::ZERO;
         let mut attempt = 0u32;
-        let timeout = self.effective_timeout();
+        let timeout = self.timeout;
         loop {
             if let Some(q) = g.queues.get_mut(&(src, tag)) {
                 if let Some(m) = q.pop_front() {
@@ -1106,7 +1048,7 @@ impl Fabric {
         }
         let mut waited = std::time::Duration::ZERO;
         let mut attempt = 0u32;
-        let timeout = self.effective_timeout();
+        let timeout = self.timeout;
         loop {
             if let Some(m) = mbox.try_take(src, tag) {
                 return Ok(m);

@@ -28,11 +28,14 @@
 //!
 //! Recovery (PR 6): timed-out receive polls back off under a configurable
 //! [`RetryPolicy`] (bounded exponential with deterministic jitter) and are
-//! counted per rank in [`RecoveryCounters`]; the receive deadline is
-//! settable per process ([`set_comm_timeout`], `RHPL_COMM_TIMEOUT`) or per
-//! fabric ([`FabricOpts`]); and [`Universe::run_with_injector`] restarts a
-//! job on a fresh fabric while keeping the armed injector's fault cursors —
-//! the supervisor primitive behind checkpoint/restart.
+//! counted per rank in [`RecoveryCounters`]; the receive deadline is set
+//! per fabric ([`FabricOpts::timeout`]; unset, `RHPL_COMM_TIMEOUT` read at
+//! construction, else [`DEFAULT_TIMEOUT`]); and
+//! [`Universe::run_with_injector`] restarts a job on a fresh fabric while
+//! keeping the armed injector's fault cursors — the supervisor primitive
+//! behind checkpoint/restart.
+//! No configuration is frozen per process: the `RHPL_*` variables parse
+//! through one table ([`config`]), read when a fabric is built.
 
 // Lint policy: indexed loops are used deliberately where they mirror the
 // reference BLAS/HPL loop structure, and several kernels take the full
@@ -61,12 +64,12 @@ pub use comm::Communicator;
 pub use config::ConfigError;
 pub use error::CommError;
 pub use fabric::{
-    active_mailbox_name, recv_timeout, set_comm_timeout, CommStats, Fabric, FabricOpts, MailboxSel,
-    RecoveryCounters, RetryPolicy, Tag,
+    active_mailbox_name, CommStats, Fabric, FabricOpts, MailboxSel, RecoveryCounters, RetryPolicy,
+    Tag, DEFAULT_TIMEOUT,
 };
 pub use grid::{Grid, GridOrder};
 pub use ring::{panel_bcast, BcastAlgo};
 pub use spsc::SpscRing;
 pub use transport::wire::{Wire, WireElem};
 pub use transport::{last_run_link_stats, LinkStat, TransportSel};
-pub use universe::{active_transport_name, FaultedRun, Universe};
+pub use universe::{FaultedRun, Universe};

@@ -1,6 +1,7 @@
 //! Launching a "job": one rank per OS thread, all connected by a world
 //! [`Communicator`] — over shared mailboxes (the in-process oracle) or a
-//! real byte-moving transport resolved from `RHPL_TRANSPORT`.
+//! real byte-moving transport (explicit, or `RHPL_TRANSPORT` for
+//! [`Universe::run`]).
 //!
 //! Under `RHPL_TRANSPORT=tcp` every rank thread owns a *remote* fabric
 //! endpoint wired to its peers through frames, exactly the architecture
@@ -43,23 +44,13 @@ pub struct FaultedRun<T> {
     pub abft_repairs: Vec<u64>,
 }
 
-/// The transport a plain [`Universe::run`] resolves to in this process
-/// (from `RHPL_TRANSPORT`, read once; invalid values fail fast with the
-/// typed config message — the CLI pre-validates and reports cleanly).
+/// The transport a plain [`Universe::run`] resolves to: `RHPL_TRANSPORT`,
+/// read now (unset means [`TransportSel::Inproc`]; an invalid value fails
+/// fast with the typed config message — the CLI reports it cleanly first).
 pub fn env_transport_sel() -> TransportSel {
-    static SEL: std::sync::OnceLock<TransportSel> = std::sync::OnceLock::new();
-    *SEL.get_or_init(|| {
-        crate::config::env_transport().unwrap_or_else(|e| {
-            // xtask-allow: no-panic, error-taxonomy — config fail-fast
-            panic!("{e}")
-        })
-    })
-}
-
-/// Name of the transport env-constructed universes resolve to — recorded
-/// in run reports next to the kernel and mailbox names.
-pub fn active_transport_name() -> &'static str {
-    env_transport_sel().name()
+    crate::config::env()
+        .transport
+        .unwrap_or(TransportSel::Inproc)
 }
 
 impl Universe {
@@ -79,20 +70,9 @@ impl Universe {
         Self::run_with_transport(nranks, env_transport_sel(), FabricOpts::default(), f)
     }
 
-    /// Like [`Universe::run`] but with explicit fabric options, so tests can
-    /// pin a mailbox implementation (or ring capacity) per run instead of
-    /// inheriting the process-wide `RHPL_MAILBOX` resolution.
-    pub fn run_with_opts<T, F>(nranks: usize, opts: FabricOpts, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Communicator) -> T + Sync,
-    {
-        Self::run_with_transport(nranks, env_transport_sel(), opts, f)
-    }
-
-    /// Runs `f` with an explicit transport selection, ignoring the
-    /// environment — the determinism matrix pins both backends side by side
-    /// in one process this way.
+    /// Runs `f` with an explicit transport selection and fabric options —
+    /// the determinism matrices pin both backends (or both mailboxes) side
+    /// by side in one process this way.
     pub fn run_with_transport<T, F>(
         nranks: usize,
         sel: TransportSel,
@@ -132,23 +112,35 @@ impl Universe {
         T: Send,
         F: Fn(Communicator) -> T + Sync,
     {
-        let injector = Injector::new(plan, nranks);
-        Self::run_with_injector(nranks, injector, f)
+        let (sel, injector) = (env_transport_sel(), Injector::new(plan, nranks));
+        Self::run_with_injector(nranks, sel, FabricOpts::default(), injector, f)
     }
 
-    /// Like [`Universe::run_with_faults`] but reusing an already-armed
-    /// injector, so consecutive jobs share one set of fault cursors. This is
-    /// the supervisor's restart primitive: a one-shot death that fired on
-    /// attempt 1 does not fire again on attempt 2 (the replacement rank is
-    /// healthy), while `sticky` faults keep firing on every attempt.
-    pub fn run_with_injector<T, F>(nranks: usize, injector: Arc<Injector>, f: F) -> FaultedRun<T>
+    /// Like [`Universe::run_with_faults`] but with an explicit transport and
+    /// fabric options (whose `faults` field `injector` replaces), reusing
+    /// an already-armed injector so consecutive jobs share one set of fault
+    /// cursors. This is the supervisor's restart primitive: a one-shot death
+    /// that fired on attempt 1 does not fire again on attempt 2 (the
+    /// replacement rank is healthy), while `sticky` faults keep firing on
+    /// every attempt.
+    pub fn run_with_injector<T, F>(
+        nranks: usize,
+        sel: TransportSel,
+        opts: FabricOpts,
+        injector: Arc<Injector>,
+        f: F,
+    ) -> FaultedRun<T>
     where
         T: Send,
         F: Fn(Communicator) -> T + Sync,
     {
-        match env_transport_sel() {
+        let opts = FabricOpts {
+            faults: Some(Arc::clone(&injector)),
+            ..opts
+        };
+        match sel {
             TransportSel::Inproc => {
-                let fabric = Fabric::new_with_faults(nranks, Some(Arc::clone(&injector)));
+                let fabric = Fabric::new_with_opts(nranks, opts);
                 let (results, _panics) = Self::run_on(&fabric, f);
                 FaultedRun {
                     results,
@@ -159,10 +151,6 @@ impl Universe {
                 }
             }
             TransportSel::Tcp => {
-                let opts = FabricOpts {
-                    faults: Some(Arc::clone(&injector)),
-                    ..FabricOpts::default()
-                };
                 let run = Self::tcp_run(nranks, opts, f);
                 FaultedRun {
                     results: run.results,

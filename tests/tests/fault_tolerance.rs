@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use hpl_comm::{recv_timeout, Universe};
+use hpl_comm::{Universe, DEFAULT_TIMEOUT};
 use hpl_faults::FaultPlan;
 use proptest::prelude::*;
 use rhpl_core::{run_hpl, HplConfig, HplError};
@@ -25,7 +25,7 @@ fn rank_death_mid_factorization_unwinds_survivors_quickly() {
     assert!(
         elapsed < Duration::from_secs(5),
         "survivors took {elapsed:?} to unwind — they must not ride the {:?} recv timeout",
-        recv_timeout()
+        DEFAULT_TIMEOUT
     );
     let (rank, _phase) = run.poison.expect("the injected death is recorded");
     assert_eq!(rank, 2);

@@ -5,9 +5,11 @@
 //! half of the `RHPL_MAILBOX` switch: the oracle stays selectable so any
 //! future divergence is attributable in one A/B run.
 //!
-//! Selection goes through `FabricOpts.mailbox` (via `Universe::run_with_opts`)
-//! rather than the env var, so one process can construct both fabrics.
+//! Selection goes through `FabricOpts.mailbox` (via
+//! `Universe::run_with_transport`) rather than the env var, so one process
+//! can construct both fabrics.
 
+use hpl_comm::universe::env_transport_sel;
 use hpl_comm::{FabricOpts, MailboxSel, Universe};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
@@ -22,7 +24,7 @@ fn traced_run(cfg: &HplConfig, mailbox: MailboxSel, cap: Option<usize>) -> RunOu
         mailbox_cap: cap,
         ..FabricOpts::default()
     };
-    let per_rank = Universe::run_with_opts(cfg.ranks(), opts, |comm| {
+    let per_rank = Universe::run_with_transport(cfg.ranks(), env_transport_sel(), opts, |comm| {
         let r = run_hpl(comm, &cfg).expect("nonsingular");
         (r.trace.expect("tracing was enabled"), r.x)
     });

@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use hpl_ckpt::CkptStore;
-use hpl_comm::Universe;
+use hpl_comm::universe::env_transport_sel;
+use hpl_comm::{FabricOpts, Universe};
 use hpl_faults::{FaultPlan, Site};
 use rhpl_core::{run_hpl, CkptOpts, HplConfig, HplResult, Schedule};
 
@@ -56,7 +57,8 @@ fn kill_and_recover(cfg: &HplConfig, victim: usize, frac: f64) -> Vec<HplResult>
     let (dead, _phase) = attempt1.poison.expect("the injected death fired");
     assert_eq!(dead, victim);
 
-    let attempt2 = Universe::run_with_injector(cfg.ranks(), attempt1.injector, |comm| {
+    let (sel, opts) = (env_transport_sel(), FabricOpts::default());
+    let attempt2 = Universe::run_with_injector(cfg.ranks(), sel, opts, attempt1.injector, |comm| {
         run_hpl(comm, cfg).expect("recovered run completes")
     });
     assert!(
